@@ -11,9 +11,10 @@
 //! * **hmac** — one-shot `HmacSha256::mac` (re-expands the RFC 2104 key
 //!   schedule per message) vs the cached [`HmacKey`] state that
 //!   `SigningKey` now holds (≥ 1.5× on small payloads), plus a per-backend
-//!   sweep: cached-key MAC throughput (MB/s) on the scalar and multi-block
-//!   compress backends, and the SIMD shared-schedule batch path's per-MAC
-//!   cost at batch 8.
+//!   sweep: cached-key MAC throughput (MB/s) on the scalar oracle, and the
+//!   default backend's batch path's per-MAC cost at batch 8.  The report's
+//!   `sha_extensions` flag says whether the default backend ran on the
+//!   x86-64 SHA extensions.
 //! * **verify_batch** — `Signature::verify_batch_uncached` across an
 //!   authenticator vector (one message, n MACs, shared inner schedule):
 //!   per-MAC nanoseconds must fall as the batch grows.
@@ -21,10 +22,8 @@
 //!   `Bytes`) vs the legacy `Wire::to_wire_vec` growth-from-zero path, on
 //!   the candidate frames the wrapper pair exchanges.
 //! * **sign_verify** — the full double-signature round: build an
-//!   [`FsOutput`], wire round-trip it, verify it at a destination — both
-//!   the raw cryptographic cost (`verify_ns`, memo bypassed) and the
-//!   memoised cost a co-hosted duplicate destination pays
-//!   (`verify_memo_ns`).
+//!   [`FsOutput`], wire round-trip it, verify it at a destination
+//!   (`verify_ns`; nothing is cached between verifications).
 //! * **scheduler** — the simulator's future event set under the hold model
 //!   (pop one event, push a successor) at 1 k and 100 k pending events:
 //!   the legacy binary heap vs the calendar queue, plus slab (`Vec` index)
@@ -126,13 +125,11 @@ struct HmacRow {
     speedup: f64,
     /// Cached-key MAC pinned to the scalar (oracle) backend.
     scalar_ns: f64,
-    /// Cached-key MAC pinned to the multi-block backend.
-    multiblock_ns: f64,
-    /// Per-MAC cost of the SIMD shared-schedule batch path at batch 8
-    /// (one message, 8 keys).
+    /// Per-MAC cost of the SIMD backend's batch path at batch 8 (one
+    /// message, 8 keys): shared schedule and lane-parallel rounds, or one
+    /// key at a time on the SHA extensions.
     simd_batch8_per_mac_ns: f64,
     scalar_mb_per_s: f64,
-    multiblock_mb_per_s: f64,
     simd_batch8_mb_per_s: f64,
 }
 
@@ -160,11 +157,8 @@ struct SignVerifyRow {
     payload_bytes: usize,
     sign_double_ns: f64,
     wire_round_trip_ns: f64,
-    /// True cryptographic cost of a destination-side double verify (memo
-    /// bypassed).
+    /// Cost of a destination-side double verify.
     verify_ns: f64,
-    /// Cost a co-hosted duplicate destination pays: the host-side memo hit.
-    verify_memo_ns: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -223,6 +217,9 @@ struct ContentionRow {
 struct HotpathReport {
     id: String,
     iterations: u64,
+    /// Whether the default compress backend ran on the x86-64 SHA
+    /// extensions.
+    sha_extensions: bool,
     hmac: Vec<HmacRow>,
     verify_batch: Vec<VerifyBatchRow>,
     encode: Vec<EncodeRow>,
@@ -243,7 +240,6 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
     let key_bytes = [0xa5u8; 32];
     let cached = HmacKey::new(&key_bytes);
     let scalar_key = HmacKey::new_with_backend(CompressBackend::Scalar, &key_bytes);
-    let multiblock_key = HmacKey::new_with_backend(CompressBackend::MultiBlock, &key_bytes);
     let batch_keys: Vec<HmacKey> = (0..8u8)
         .map(|i| HmacKey::new_with_backend(CompressBackend::Simd, &[0xa5 ^ i; 32]))
         .collect();
@@ -263,11 +259,9 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
             let scalar_ns = time_ns_per_op(n, || {
                 black_box(scalar_key.mac(black_box(&msg)));
             });
-            let multiblock_ns = time_ns_per_op(n, || {
-                black_box(multiblock_key.mac(black_box(&msg)));
-            });
-            // The batch path amortizes one schedule expansion over 8 keys
-            // and runs their rounds lane-parallel; report per-MAC cost.
+            // Without the SHA extensions the batch path amortizes one
+            // schedule expansion over 8 keys and runs their rounds
+            // lane-parallel; report per-MAC cost.
             let simd_batch8_per_mac_ns = time_ns_per_op(n, || {
                 let schedule =
                     MacSchedule::new_with_backend(CompressBackend::Simd, black_box(&msg));
@@ -279,20 +273,18 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
                 cached_key_ns,
                 speedup: one_shot_ns / cached_key_ns,
                 scalar_ns,
-                multiblock_ns,
                 simd_batch8_per_mac_ns,
                 scalar_mb_per_s: mb_per_s(size, scalar_ns),
-                multiblock_mb_per_s: mb_per_s(size, multiblock_ns),
                 simd_batch8_mb_per_s: mb_per_s(size, simd_batch8_per_mac_ns),
             }
         })
         .collect()
 }
 
-/// Measures `Signature::verify_batch_uncached` across an authenticator
-/// vector: `batch` distinct signers over the same payload.  Uncached, so the
-/// memo cannot flatten the curve; what should flatten it is schedule sharing
-/// plus lane-parallel rounds.
+/// Measures `Signature::verify_batch` across an authenticator vector:
+/// `batch` distinct signers over the same payload.  Without the SHA
+/// extensions, schedule sharing plus lane-parallel rounds should flatten
+/// the per-MAC curve.
 fn bench_verify_batch(iters: u64) -> Vec<VerifyBatchRow> {
     let mut rng = DetRng::new(17);
     let signers: Vec<ProcessId> = (0..16).map(ProcessId).collect();
@@ -308,7 +300,7 @@ fn bench_verify_batch(iters: u64) -> Vec<VerifyBatchRow> {
             let refs: Vec<&Signature> = sigs[..batch].iter().collect();
             let n = scaled_iters(iters, size * batch);
             let total_ns = time_ns_per_op(n, || {
-                Signature::verify_batch_uncached(black_box(&refs), &dir, black_box(&msg))
+                Signature::verify_batch(black_box(&refs), &dir, black_box(&msg))
                     .expect("valid batch");
             });
             rows.push(VerifyBatchRow {
@@ -384,11 +376,6 @@ fn bench_sign_verify(iters: u64) -> Vec<SignVerifyRow> {
             let pair = (a.signer, b.signer);
             let verify_ns = time_ns_per_op(n, || {
                 black_box(&output)
-                    .verify_with_uncached(&dir, &content_bytes, pair)
-                    .expect("valid");
-            });
-            let verify_memo_ns = time_ns_per_op(n, || {
-                black_box(&output)
                     .verify_with(&dir, &content_bytes, pair)
                     .expect("valid");
             });
@@ -397,7 +384,6 @@ fn bench_sign_verify(iters: u64) -> Vec<SignVerifyRow> {
                 sign_double_ns,
                 wire_round_trip_ns,
                 verify_ns,
-                verify_memo_ns,
             }
         })
         .collect()
@@ -863,17 +849,18 @@ fn main() {
             row.payload_bytes, row.one_shot_ns, row.cached_key_ns, row.speedup
         );
     }
+    let sha_extensions = CompressBackend::Simd.uses_sha_extensions();
     println!(
-        "\n{:<16} {:>13} {:>13} {:>16}",
-        "hmac backends", "scalar MB/s", "multi MB/s", "simd-b8 MB/s"
+        "\n{:<16} {:>13} {:>16}   (SHA extensions: {})",
+        "hmac backends",
+        "scalar MB/s",
+        "simd-b8 MB/s",
+        if sha_extensions { "yes" } else { "no" }
     );
     for row in &hmac {
         println!(
-            "{:<16} {:>13.0} {:>13.0} {:>16.0}",
-            row.payload_bytes,
-            row.scalar_mb_per_s,
-            row.multiblock_mb_per_s,
-            row.simd_batch8_mb_per_s
+            "{:<16} {:>13.0} {:>16.0}",
+            row.payload_bytes, row.scalar_mb_per_s, row.simd_batch8_mb_per_s
         );
     }
     println!(
@@ -959,6 +946,7 @@ fn main() {
     let report = HotpathReport {
         id: "bench-hotpath".to_string(),
         iterations: iters,
+        sha_extensions,
         hmac,
         verify_batch,
         encode,

@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use crate::message::{signing_bytes, FsContent, FsOutput};
     use fs_common::rng::DetRng;
-    use fs_crypto::keys::provision;
+    use fs_crypto::keys::{provision, SigningKey};
     use fs_crypto::sig::Signature;
     use fs_simnet::actor::TestContext;
     use fs_smr::machine::Endpoint;
@@ -212,6 +212,68 @@ mod tests {
         i.on_message(&mut ctx, LEADER, FsoInbound::External(signal).to_wire());
         assert!(i.local_fail_signalled());
         assert!(ctx.sent_to(APP).is_empty());
+    }
+
+    fn upcall(seq: u64, first: &SigningKey, second: &SigningKey) -> Bytes {
+        let content = FsContent::Output {
+            output_seq: seq,
+            dest: Endpoint::LocalApp,
+            bytes: vec![b'u', seq as u8].into(),
+        };
+        FsoInbound::External(FsOutput::sign(FsId(0), content, first, second)).to_wire()
+    }
+
+    /// `frame` (an external output) with both authenticator tags flipped.
+    fn corrupted(frame: &Bytes) -> Bytes {
+        let Ok(FsoInbound::External(mut output)) = FsoInbound::from_wire(frame) else {
+            panic!("an external frame");
+        };
+        output.first.tag.0[0] ^= 1;
+        output.second.tag.0[0] ^= 1;
+        FsoInbound::External(output).to_wire()
+    }
+
+    #[test]
+    fn corrupted_second_copy_is_suppressed_as_a_duplicate() {
+        let (mut i, mut ctx, leader_key, follower_key) = setup();
+        i.on_message(&mut ctx, LEADER, upcall(0, &leader_key, &follower_key));
+        let second = corrupted(&upcall(0, &follower_key, &leader_key));
+        i.on_message(&mut ctx, FOLLOWER, second);
+        assert_eq!(ctx.sent_to(APP).len(), 1);
+        assert_eq!(i.receiver_stats().duplicates, 1);
+        assert_eq!(i.receiver_stats().rejected, 0);
+    }
+
+    #[test]
+    fn forged_upcall_does_not_block_the_genuine_one() {
+        let (mut i, mut ctx, leader_key, follower_key) = setup();
+        let genuine = upcall(3, &follower_key, &leader_key);
+        i.on_message(&mut ctx, LEADER, corrupted(&genuine));
+        assert!(ctx.sent_to(APP).is_empty());
+        assert_eq!(i.receiver_stats().rejected, 1);
+        i.on_message(&mut ctx, FOLLOWER, genuine);
+        let to_app = ctx.sent_to(APP);
+        assert_eq!(to_app.len(), 1);
+        assert_eq!(to_app[0].payload, [b'u', 3]);
+    }
+
+    #[test]
+    fn repeated_local_fail_signal_is_noted_once() {
+        let (mut i, mut ctx, leader_key, follower_key) = setup();
+        let signal = FsoInbound::External(FsOutput::sign(
+            FsId(0),
+            FsContent::FailSignal,
+            &follower_key,
+            &leader_key,
+        ))
+        .to_wire();
+        i.on_message(&mut ctx, LEADER, signal.clone());
+        i.on_message(&mut ctx, FOLLOWER, signal.clone());
+        i.on_message(&mut ctx, FOLLOWER, corrupted(&signal));
+        assert!(i.local_fail_signalled());
+        assert_eq!(i.receiver_stats().fail_signals, 1);
+        assert_eq!(i.receiver_stats().duplicates, 2);
+        assert_eq!(i.receiver_stats().rejected, 0);
     }
 
     #[test]

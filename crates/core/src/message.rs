@@ -15,7 +15,7 @@ use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
 use fs_crypto::sha256::Digest;
-use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature};
+use fs_crypto::sig::{verify_cosign_pair, Signature};
 use fs_smr::machine::Endpoint;
 
 /// Encodes a logical endpoint (defined in `fs-smr`) onto the wire.
@@ -142,14 +142,6 @@ pub fn signing_bytes(fs: FsId, content: &FsContent) -> Bytes {
     enc.finish()
 }
 
-fn co_signing_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(content_bytes.len() + 36);
-    buf.extend_from_slice(content_bytes);
-    buf.extend_from_slice(&(first.signer.0).0.to_le_bytes());
-    buf.extend_from_slice(first.tag.as_bytes());
-    buf
-}
-
 /// A double-signed output of a fail-signal process (the only form a
 /// destination treats as valid, §2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,7 +196,7 @@ impl FsOutput {
         first: Signature,
         second_key: &SigningKey,
     ) -> Self {
-        let second = Signature::sign(second_key, &co_signing_bytes(content_bytes, &first));
+        let second = Signature::counter_sign(second_key, content_bytes, &first);
         Self {
             fs,
             content,
@@ -216,16 +208,6 @@ impl FsOutput {
     /// Verifies that this is a valid output of the FS process whose wrapper
     /// signers are `pair` (in either order).
     ///
-    /// Outputs that verified successfully are memoised host-side per thread,
-    /// keyed by `(fs, both signatures, expected pair)` with the content held
-    /// in the entry: the same double-signed frame is checked at every
-    /// co-hosted simulated destination, and for the duplicates this skips
-    /// the content re-encoding and both HMAC probes.  Verification is a pure
-    /// function of the key-plus-content (the underlying signature layer
-    /// additionally ties its own memo to the key material), so the verdict —
-    /// and therefore every simulation result — is identical with or without
-    /// the memo.  Failures are never cached.
-    ///
     /// # Errors
     ///
     /// Returns the reason the output is invalid — unknown or duplicate
@@ -235,80 +217,7 @@ impl FsOutput {
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
-        const OUTPUT_MEMO_MAX: usize = 8 * 1024;
-        const OUTPUT_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-        type OutputMemoKey = (FsId, Signature, Signature, (SignerId, SignerId), (u64, u64));
-        /// The memo map plus the running total of retained content bytes.
-        type OutputMemo = (std::collections::HashMap<OutputMemoKey, FsContent>, usize);
-        thread_local! {
-            static OUTPUT_MEMO: std::cell::RefCell<OutputMemo> =
-                std::cell::RefCell::new((std::collections::HashMap::new(), 0));
-        }
-        // Tie the memo entry to the concrete key material: a verdict cached
-        // under one key directory must never satisfy another.
-        let (Ok(first_key), Ok(second_key)) = (
-            directory.lookup(self.first.signer),
-            directory.lookup(self.second.signer),
-        ) else {
-            let bytes = signing_bytes(self.fs, &self.content);
-            return self.verify_with(directory, &bytes, pair);
-        };
-        let fingerprints = (first_key.hmac_fingerprint(), second_key.hmac_fingerprint());
-        // Normalise the expected pair so the two delivery orders share an
-        // entry (verification accepts either order).
-        let pair_key = if pair.0 <= pair.1 {
-            pair
-        } else {
-            (pair.1, pair.0)
-        };
-        let key = (
-            self.fs,
-            self.first.clone(),
-            self.second.clone(),
-            pair_key,
-            fingerprints,
-        );
-        let hit = OUTPUT_MEMO.with(|memo| {
-            memo.borrow()
-                .0
-                .get(&key)
-                .is_some_and(|cached| *cached == self.content)
-        });
-        if hit {
-            return Ok(());
-        }
-        let bytes = signing_bytes(self.fs, &self.content);
-        self.verify_with(directory, &bytes, pair)?;
-        // Store a compact copy of the content: the decoded content's byte
-        // field is a zero-copy view into the (possibly large) delivered
-        // frame, and a memo entry must not keep whole frames alive.  Both
-        // the entry count and the retained bytes are bounded.
-        let compact = match &self.content {
-            FsContent::Output {
-                output_seq,
-                dest,
-                bytes,
-            } => FsContent::Output {
-                output_seq: *output_seq,
-                dest: *dest,
-                bytes: Bytes::copy_from_slice(bytes),
-            },
-            FsContent::FailSignal => FsContent::FailSignal,
-        };
-        let stored = match &compact {
-            FsContent::Output { bytes, .. } => bytes.len(),
-            FsContent::FailSignal => 0,
-        };
-        OUTPUT_MEMO.with(|memo| {
-            let (map, bytes_held) = &mut *memo.borrow_mut();
-            if map.len() >= OUTPUT_MEMO_MAX || *bytes_held >= OUTPUT_MEMO_MAX_BYTES {
-                map.clear();
-                *bytes_held = 0;
-            }
-            *bytes_held += stored;
-            map.insert(key, compact);
-        });
-        Ok(())
+        self.verify_with(directory, &signing_bytes(self.fs, &self.content), pair)
     }
 
     /// The structural half of a destination-side check: distinct signers,
@@ -325,23 +234,6 @@ impl FsOutput {
         Ok(())
     }
 
-    /// Like [`FsOutput::verify_with`], but always recomputes both HMACs,
-    /// bypassing every host-side memo.  The `hotpath` benchmark uses this to
-    /// measure the true cryptographic cost of a destination-side check.
-    ///
-    /// # Errors
-    ///
-    /// See [`FsOutput::verify`].
-    pub fn verify_with_uncached(
-        &self,
-        directory: &KeyDirectory,
-        content_bytes: &[u8],
-        pair: (SignerId, SignerId),
-    ) -> Result<(), SignatureError> {
-        self.check_signer_pair(pair)?;
-        verify_cosign_pair_uncached(directory, content_bytes, &self.first, &self.second)
-    }
-
     /// Like [`FsOutput::verify`], but takes the content's signing bytes
     /// already encoded by the caller.
     ///
@@ -356,9 +248,23 @@ impl FsOutput {
     ) -> Result<(), SignatureError> {
         self.check_signer_pair(pair)?;
         // Both MACs share the content's message schedule (the co-signature
-        // differs only in a 36-byte suffix), and each memo composes as
-        // before: a hit answers without touching the schedule.
+        // differs only in a 36-byte suffix).
         verify_cosign_pair(directory, content_bytes, &self.first, &self.second)
+    }
+
+    /// Another name for [`FsOutput::verify_with`], which caches nothing:
+    /// every call recomputes both MACs.
+    ///
+    /// # Errors
+    ///
+    /// See [`FsOutput::verify`].
+    pub fn verify_with_uncached(
+        &self,
+        directory: &KeyDirectory,
+        content_bytes: &[u8],
+        pair: (SignerId, SignerId),
+    ) -> Result<(), SignatureError> {
+        self.verify_with(directory, content_bytes, pair)
     }
 
     /// True when this output is the process's fail-signal.

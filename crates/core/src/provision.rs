@@ -549,100 +549,159 @@ mod tests {
         assert!(pair.leader.has_failed());
     }
 
+    const UP_A: ProcessId = ProcessId(30);
+    const UP_B: ProcessId = ProcessId(31);
+    const OUTSIDER: ProcessId = ProcessId(55);
+
+    /// A leader wrapper that accepts the upstream FS process 7 (wrappers
+    /// `UP_A` and `UP_B`) and converts its fail-signal into an environment
+    /// input, plus the upstream wrappers' keys and an outsider's key.
+    struct Upstream {
+        leader: FsoActor,
+        ctx: TestContext,
+        up_a: SigningKey,
+        up_b: SigningKey,
+        outsider: SigningKey,
+    }
+
+    impl Upstream {
+        fn new() -> Self {
+            let mut rng = DetRng::new(13);
+            let (mut keys, directory) =
+                provision([LEADER, FOLLOWER, UP_A, UP_B, OUTSIDER], &mut rng);
+            let mut key = |p| keys.remove(&SignerId(p)).unwrap();
+            let (leader_key, follower_key) = (key(LEADER), key(FOLLOWER));
+            let (up_a, up_b, outsider) = (key(UP_A), key(UP_B), key(OUTSIDER));
+            let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
+            let (leader, _follower) = FsPairBuilder::new(spec)
+                .crypto_costs(CryptoCostModel::free())
+                .accept_fs_source(
+                    (UP_A, UP_B),
+                    FsId(7),
+                    (SignerId(UP_A), SignerId(UP_B)),
+                    Endpoint::Peer(fs_common::id::MemberId(3)),
+                )
+                .on_fail_signal(FsId(7), b"SUSPECT:3".to_vec())
+                .route(Endpoint::LocalApp, vec![DEST_A])
+                .build(
+                    leader_key,
+                    follower_key,
+                    directory,
+                    (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
+                );
+            Self {
+                leader,
+                ctx: TestContext::new(LEADER),
+                up_a,
+                up_b,
+                outsider,
+            }
+        }
+
+        /// Output `seq` of FS 7, signed by `first` then `second`.
+        fn output(seq: u64, first: &SigningKey, second: &SigningKey) -> FsOutput {
+            FsOutput::sign(
+                FsId(7),
+                FsContent::Output {
+                    output_seq: seq,
+                    dest: Endpoint::LocalApp,
+                    bytes: vec![seq as u8].into(),
+                },
+                first,
+                second,
+            )
+        }
+
+        fn deliver(&mut self, from: ProcessId, output: FsOutput) {
+            self.leader
+                .on_message(&mut self.ctx, from, FsoInbound::External(output).to_wire());
+        }
+    }
+
+    /// `output` with both authenticator tags flipped.
+    fn corrupted(mut output: FsOutput) -> FsOutput {
+        output.first.tag.0[0] ^= 1;
+        output.second.tag.0[0] ^= 1;
+        output
+    }
+
     #[test]
     fn fail_signal_from_upstream_fs_injects_configured_input() {
-        // Build a pair that accepts an upstream FS process (FsId 7) and
-        // converts its fail-signal into an environment input.
-        let mut rng = DetRng::new(13);
-        let upstream_a = ProcessId(30);
-        let upstream_b = ProcessId(31);
-        let (mut keys, directory) = provision([LEADER, FOLLOWER, upstream_a, upstream_b], &mut rng);
-        let leader_key = keys.remove(&SignerId(LEADER)).unwrap();
-        let follower_key = keys.remove(&SignerId(FOLLOWER)).unwrap();
-        let up_a = keys.remove(&SignerId(upstream_a)).unwrap();
-        let up_b = keys.remove(&SignerId(upstream_b)).unwrap();
-
-        let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
-        let upstream_signers = (SignerId(upstream_a), SignerId(upstream_b));
-        let (mut leader, _follower) = FsPairBuilder::new(spec)
-            .crypto_costs(CryptoCostModel::free())
-            .accept_fs_source(
-                (upstream_a, upstream_b),
-                FsId(7),
-                upstream_signers,
-                Endpoint::Peer(fs_common::id::MemberId(3)),
-            )
-            .on_fail_signal(FsId(7), b"SUSPECT:3".to_vec())
-            .route(Endpoint::LocalApp, vec![DEST_A])
-            .build(
-                leader_key,
-                follower_key,
-                directory,
-                (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
-            );
-
-        let mut ctx = TestContext::new(LEADER);
-        let signal = FsOutput::sign(FsId(7), FsContent::FailSignal, &up_a, &up_b);
-        leader.on_message(
-            &mut ctx,
-            upstream_a,
-            FsoInbound::External(signal.clone()).to_wire(),
-        );
+        let mut up = Upstream::new();
+        let signal = FsOutput::sign(FsId(7), FsContent::FailSignal, &up.up_a, &up.up_b);
+        up.deliver(UP_A, signal.clone());
         // The configured environment input went through the machine: the echo
         // machine echoes it back to the environment... which is unrouted, but
         // the input was processed and a candidate was sent to the partner.
-        assert_eq!(leader.stats().inputs_processed, 1);
+        assert_eq!(up.leader.stats().inputs_processed, 1);
         // Receiving the duplicate copy of the same fail-signal does nothing.
-        leader.on_message(&mut ctx, upstream_b, FsoInbound::External(signal).to_wire());
-        assert_eq!(leader.stats().inputs_processed, 1);
+        up.deliver(UP_B, signal);
+        assert_eq!(up.leader.stats().inputs_processed, 1);
     }
 
     #[test]
     fn forged_external_output_is_rejected() {
-        let mut rng = DetRng::new(17);
-        let upstream_a = ProcessId(30);
-        let upstream_b = ProcessId(31);
-        let attacker = ProcessId(55);
-        let (mut keys, directory) = provision(
-            [LEADER, FOLLOWER, upstream_a, upstream_b, attacker],
-            &mut rng,
-        );
-        let leader_key = keys.remove(&SignerId(LEADER)).unwrap();
-        let follower_key = keys.remove(&SignerId(FOLLOWER)).unwrap();
-        let attacker_key = keys.remove(&SignerId(attacker)).unwrap();
+        let mut up = Upstream::new();
+        // The outsider forges an "output of FS 7" signed only by itself.
+        let forged = Upstream::output(0, &up.outsider, &up.outsider);
+        up.deliver(UP_A, forged);
+        assert_eq!(up.leader.stats().rejected_inputs, 1);
+        assert_eq!(up.leader.stats().inputs_processed, 0);
+        assert!(!up.leader.has_failed());
+    }
 
-        let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
-        let (mut leader, _follower) = FsPairBuilder::new(spec)
-            .crypto_costs(CryptoCostModel::free())
-            .accept_fs_source(
-                (upstream_a, upstream_b),
+    #[test]
+    fn corrupted_copy_of_an_accepted_output_is_a_duplicate_not_a_rejection() {
+        let mut up = Upstream::new();
+        up.deliver(UP_A, Upstream::output(0, &up.up_a, &up.up_b));
+        assert_eq!(up.leader.stats().inputs_processed, 1);
+        // The second copy, tags corrupted in transit: `(fs, output_seq)` was
+        // already accepted, so it is dropped unverified and orders nothing.
+        up.deliver(UP_B, corrupted(Upstream::output(0, &up.up_b, &up.up_a)));
+        let stats = up.leader.stats();
+        assert_eq!(stats.duplicates_suppressed, 1);
+        assert_eq!(stats.rejected_inputs, 0);
+        assert_eq!(stats.inputs_processed, 1);
+        assert!(!up.leader.has_failed());
+    }
+
+    #[test]
+    fn forged_output_for_a_new_seq_does_not_block_the_genuine_one() {
+        let mut up = Upstream::new();
+        up.deliver(UP_A, corrupted(Upstream::output(0, &up.up_a, &up.up_b)));
+        up.deliver(UP_A, Upstream::output(0, &up.outsider, &up.up_b));
+        assert_eq!(up.leader.stats().rejected_inputs, 2);
+        assert_eq!(up.leader.stats().inputs_processed, 0);
+        // The genuine frame for the same sequence number is still verified,
+        // accepted and ordered.
+        up.deliver(UP_B, Upstream::output(0, &up.up_b, &up.up_a));
+        assert_eq!(up.leader.stats().inputs_processed, 1);
+        assert_eq!(up.leader.stats().duplicates_suppressed, 0);
+    }
+
+    #[test]
+    fn repeated_fail_signal_converts_exactly_once() {
+        let mut up = Upstream::new();
+        // A forged fail-signal first: rejected, converts nothing.
+        up.deliver(
+            UP_A,
+            corrupted(FsOutput::sign(
                 FsId(7),
-                (SignerId(upstream_a), SignerId(upstream_b)),
-                Endpoint::Peer(fs_common::id::MemberId(3)),
-            )
-            .route(Endpoint::LocalApp, vec![DEST_A])
-            .build(
-                leader_key,
-                follower_key,
-                directory,
-                (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
-            );
-
-        let mut ctx = TestContext::new(LEADER);
-        // The attacker forges an "output of FS 7" signed only by itself.
-        let forged = FsOutput::sign(
-            FsId(7),
-            FsContent::Output {
-                output_seq: 0,
-                dest: Endpoint::LocalApp,
-                bytes: b"evil".to_vec().into(),
-            },
-            &attacker_key,
-            &attacker_key,
+                FsContent::FailSignal,
+                &up.up_a,
+                &up.up_b,
+            )),
         );
-        leader.on_message(&mut ctx, upstream_a, FsoInbound::External(forged).to_wire());
-        assert_eq!(leader.stats().rejected_inputs, 1);
-        assert_eq!(leader.stats().inputs_processed, 0);
-        assert!(!leader.has_failed());
+        assert_eq!(up.leader.stats().rejected_inputs, 1);
+        assert_eq!(up.leader.stats().inputs_processed, 0);
+        let signal = FsOutput::sign(FsId(7), FsContent::FailSignal, &up.up_b, &up.up_a);
+        for _ in 0..3 {
+            up.deliver(UP_B, signal.clone());
+        }
+        up.deliver(UP_A, corrupted(signal));
+        // Converted once; the repeats (forged or not) are dropped unverified.
+        let stats = up.leader.stats();
+        assert_eq!(stats.inputs_processed, 1);
+        assert_eq!(stats.rejected_inputs, 1);
     }
 }

@@ -7,6 +7,12 @@
 //! signature, suppresses the duplicate copy, and converts the first valid
 //! fail-signal from each source into a notification — the raw material the
 //! FS-NewTOP suspector turns into (never false) suspicions.
+//!
+//! A copy of an output (or fail-signal) that was already accepted is
+//! dropped *before* verification, which halves the verification work of a
+//! destination.  Every frame that is delivered is verified first; a forged
+//! frame for a new sequence number is rejected and leaves that number free
+//! for the genuine frame.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -43,7 +49,8 @@ pub enum FsDelivery {
 pub struct ReceiverStats {
     /// Valid, fresh outputs accepted.
     pub accepted: u64,
-    /// Valid duplicates suppressed (the second copy of each output).
+    /// Copies of an already accepted output or fail-signal, dropped
+    /// without verification (normally the second copy of each).
     pub duplicates: u64,
     /// Messages rejected: unknown source, bad signatures, malformed bytes.
     pub rejected: u64,
@@ -115,34 +122,39 @@ impl FsReceiver {
             self.stats.rejected += 1;
             return None;
         };
+        // The second copy of an output (or of a fail-signal) is dropped
+        // before it is verified: it can never deliver anything, so only the
+        // frame that does deliver pays for verification.
+        let duplicate = match &output.content {
+            FsContent::FailSignal => self.failed_sources.contains(&output.fs),
+            FsContent::Output { output_seq, .. } => {
+                self.seen_outputs.contains(&(output.fs, *output_seq))
+            }
+        };
+        if duplicate {
+            self.stats.duplicates += 1;
+            return None;
+        }
         if output.verify(&self.directory, signers).is_err() {
             self.stats.rejected += 1;
             return None;
         }
         match output.content {
             FsContent::FailSignal => {
-                if self.failed_sources.insert(output.fs) {
-                    self.stats.fail_signals += 1;
-                    Some(FsDelivery::FailSignal { fs: output.fs })
-                } else {
-                    self.stats.duplicates += 1;
-                    None
-                }
+                self.failed_sources.insert(output.fs);
+                self.stats.fail_signals += 1;
+                Some(FsDelivery::FailSignal { fs: output.fs })
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if self.seen_outputs.insert((output.fs, output_seq)) {
-                    self.stats.accepted += 1;
-                    Some(FsDelivery::Output {
-                        fs: output.fs,
-                        output_seq,
-                        bytes,
-                    })
-                } else {
-                    self.stats.duplicates += 1;
-                    None
-                }
+                self.seen_outputs.insert((output.fs, output_seq));
+                self.stats.accepted += 1;
+                Some(FsDelivery::Output {
+                    fs: output.fs,
+                    output_seq,
+                    bytes,
+                })
             }
         }
     }
@@ -214,8 +226,8 @@ mod tests {
             panic!("valid output must be accepted");
         };
         // Zero payload copies on the receive path: the delivered bytes share
-        // the frame's storage — refcount bumps only (the delivered view,
-        // plus the verification memo pinning the content), no new allocation.
+        // the frame's storage — a refcount bump for the delivered view, no
+        // new allocation.
         assert!(bytes.shares_storage(&frame));
         assert!(frame.ref_count() > refs_before);
     }
@@ -245,6 +257,66 @@ mod tests {
         assert_eq!(r.accept_output(signal), None);
         assert!(r.failed_sources().contains(&FsId(1)));
         assert_eq!(r.stats().fail_signals, 1);
+    }
+
+    /// `output` with both authenticator tags flipped.
+    fn corrupted(mut output: FsOutput) -> FsOutput {
+        output.first.tag.0[0] ^= 1;
+        output.second.tag.0[0] ^= 1;
+        output
+    }
+
+    #[test]
+    fn corrupted_copy_of_an_accepted_output_is_a_duplicate_not_a_rejection() {
+        let (a, b, _, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        assert!(r.accept_output(output(1, 0, &a, &b)).is_some());
+        // Dropped before verification: `(fs, output_seq)` is already in.
+        assert_eq!(r.accept_output(corrupted(output(1, 0, &b, &a))), None);
+        assert_eq!(r.stats().duplicates, 1);
+        assert_eq!(r.stats().rejected, 0);
+        assert_eq!(r.stats().accepted, 1);
+    }
+
+    #[test]
+    fn forged_output_for_a_new_seq_does_not_block_the_genuine_one() {
+        let (a, b, c, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        assert_eq!(r.accept_output(corrupted(output(1, 5, &a, &b))), None);
+        assert_eq!(r.accept_output(output(1, 5, &a, &c)), None);
+        assert_eq!(r.stats().rejected, 2);
+        // The genuine frame is still verified and delivered.
+        assert_eq!(
+            r.accept_output(output(1, 5, &b, &a)),
+            Some(FsDelivery::Output {
+                fs: FsId(1),
+                output_seq: 5,
+                bytes: vec![5].into()
+            })
+        );
+        assert_eq!(r.stats().accepted, 1);
+        assert_eq!(r.stats().duplicates, 0);
+    }
+
+    #[test]
+    fn repeated_fail_signal_converts_exactly_once() {
+        let (a, b, _, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        let signal = FsOutput::sign(FsId(1), FsContent::FailSignal, &b, &a);
+        // A forged fail-signal before the real one converts nothing.
+        assert_eq!(r.accept_output(corrupted(signal.clone())), None);
+        assert!(r.failed_sources().is_empty());
+        let deliveries: Vec<FsDelivery> = [signal.clone(), signal.clone(), corrupted(signal)]
+            .into_iter()
+            .filter_map(|s| r.accept_output(s))
+            .collect();
+        assert_eq!(deliveries, vec![FsDelivery::FailSignal { fs: FsId(1) }]);
+        assert_eq!(r.stats().fail_signals, 1);
+        assert_eq!(r.stats().duplicates, 2);
+        assert_eq!(r.stats().rejected, 1);
     }
 
     #[test]

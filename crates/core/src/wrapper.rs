@@ -176,29 +176,7 @@ impl FsoActor {
     }
 
     /// The dedup digest of one external input.
-    ///
-    /// The same `(endpoint, bytes)` pair is digested at both wrappers of the
-    /// pair (and again when the leader's `Ordered` relay arrives), so the
-    /// digest is memoised host-side per thread, making a repeat lookup a
-    /// hash-map probe instead of a SHA-256 run.  The digest value is a pure
-    /// function of the key, so memoisation cannot change simulation results;
-    /// stored keys are compact copies (never views of delivered frames) and
-    /// both the entry count and retained bytes are bounded.
     fn input_digest(endpoint: Endpoint, bytes: &Bytes) -> Digest {
-        const DIGEST_MEMO_MAX: usize = 16 * 1024;
-        const DIGEST_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-        /// The memo map plus the running total of retained input bytes.
-        type DigestMemo = (std::collections::HashMap<(Endpoint, Bytes), Digest>, usize);
-        thread_local! {
-            static DIGEST_MEMO: std::cell::RefCell<DigestMemo> =
-                std::cell::RefCell::new((std::collections::HashMap::new(), 0));
-        }
-        // Probe with a refcount clone of the live frame (hash and equality
-        // are by content, so it matches the detached stored key).
-        let probe = (endpoint, bytes.clone());
-        if let Some(digest) = DIGEST_MEMO.with(|memo| memo.borrow().0.get(&probe).copied()) {
-            return digest;
-        }
         let mut h = Sha256::new();
         match endpoint {
             Endpoint::LocalApp => h.update(&[0]),
@@ -210,20 +188,7 @@ impl FsoActor {
             Endpoint::Broadcast => h.update(&[3]),
         }
         h.update(bytes);
-        let digest = h.finalize();
-        // Store a compact copy of the input, not a view: a memo key must
-        // not keep the whole delivered frame alive.
-        let stored_key = (endpoint, Bytes::copy_from_slice(bytes));
-        DIGEST_MEMO.with(|memo| {
-            let (map, bytes_held) = &mut *memo.borrow_mut();
-            if map.len() >= DIGEST_MEMO_MAX || *bytes_held >= DIGEST_MEMO_MAX_BYTES {
-                map.clear();
-                *bytes_held = 0;
-            }
-            *bytes_held += bytes.len();
-            map.insert(stored_key, digest);
-        });
-        digest
+        h.finalize()
     }
 
     fn send_pair(&self, ctx: &mut dyn Context, message: PairMessage) {
@@ -525,28 +490,42 @@ impl FsoActor {
             return;
         };
         ctx.charge_cpu(self.config.crypto_costs.verify_double_cost(64));
-        if output.fs != fs || output.verify(&self.config.directory, signers).is_err() {
+        if output.fs != fs {
+            self.stats.rejected_inputs += 1;
+            return;
+        }
+        // Both wrappers of the source pair send a copy of every output.  A
+        // copy whose effect has already happened is dropped before it is
+        // verified: it can never deliver, order or convert anything, so
+        // only frames that do have an effect pay for verification.
+        match &output.content {
+            FsContent::FailSignal if self.fail_signals_seen.contains(&fs) => return,
+            FsContent::Output { output_seq, .. }
+                if self.seen_external.contains(&(fs, *output_seq)) =>
+            {
+                self.stats.duplicates_suppressed += 1;
+                return;
+            }
+            _ => {}
+        }
+        if output.verify(&self.config.directory, signers).is_err() {
             self.stats.rejected_inputs += 1;
             return;
         }
         match output.content {
             FsContent::FailSignal => {
-                if self.fail_signals_seen.insert(fs) {
-                    // A validated fail-signal is converted into the
-                    // pre-configured environment input (FS-NewTOP turns it
-                    // into a suspicion) and ordered like any other input.
-                    if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
-                        self.on_external_input(ctx, Endpoint::Environment, injected);
-                    }
+                self.fail_signals_seen.insert(fs);
+                // A validated fail-signal is converted into the
+                // pre-configured environment input (FS-NewTOP turns it into
+                // a suspicion) and ordered like any other input.
+                if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
+                    self.on_external_input(ctx, Endpoint::Environment, injected);
                 }
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if !self.seen_external.insert((fs, output_seq)) {
-                    self.stats.duplicates_suppressed += 1;
-                    return;
-                }
+                self.seen_external.insert((fs, output_seq));
                 self.on_external_input(ctx, endpoint, bytes);
             }
         }

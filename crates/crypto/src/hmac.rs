@@ -9,8 +9,8 @@
 //! from a trusted [`crate::keys::KeyDirectory`].
 
 use crate::sha256::{
-    compress_with_schedule, ct_eq, expand_schedule, state_to_digest, CompressBackend, Digest,
-    Sha256, BLOCK_LEN, DIGEST_LEN,
+    compress_blocks, compress_with_schedule, ct_eq, expand_schedule, padded_tail, state_to_digest,
+    CompressBackend, Digest, Sha256, BLOCK_LEN, DIGEST_LEN,
 };
 use crate::simd;
 
@@ -89,10 +89,23 @@ impl HmacKey {
     }
 
     /// Computes the tag over `data`, resuming from the precomputed states.
+    ///
+    /// On the default backend the message's full blocks compress straight
+    /// from `data` and only the padded tail is assembled; the scalar oracle
+    /// takes the incremental [`HmacSha256`] path.
     pub fn mac(&self, data: &[u8]) -> Digest {
-        let mut h = self.hasher();
-        h.update(data);
-        h.finalize()
+        if self.inner.backend() == CompressBackend::Scalar {
+            let mut h = self.hasher();
+            h.update(data);
+            return h.finalize();
+        }
+        let mut state = self.inner.state();
+        let full = data.len() - data.len() % BLOCK_LEN;
+        compress_blocks(&mut state, &data[..full]);
+        // The inner hash has already absorbed the 64-byte ipad block.
+        let (tail, total) = padded_tail(&data[full..], (BLOCK_LEN + data.len()) as u64);
+        compress_blocks(&mut state, &tail[..total]);
+        outer_finalize(self, &state_to_digest(&state))
     }
 
     /// Verifies `tag` over `data` in constant time.
@@ -104,8 +117,8 @@ impl HmacKey {
     /// (one message schedule expansion shared across the whole batch).
     ///
     /// `result[i]` is the tag under `keys[i]`; equivalent to — and on the
-    /// SIMD backend several times faster than — calling
-    /// [`HmacKey::mac`] per key.
+    /// SIMD backend without the SHA extensions several times faster than —
+    /// calling [`HmacKey::mac`] per key.
     pub fn mac_batch(keys: &[&HmacKey], message: &[u8]) -> Vec<Digest> {
         MacSchedule::new(message).mac_batch(keys)
     }
@@ -124,15 +137,6 @@ impl HmacKey {
             .map(|(expected, tag)| ct_eq(expected.as_bytes(), tag))
             .collect()
     }
-
-    /// A 64-bit fingerprint identifying this key (derived from the
-    /// precomputed inner state, so no extra hashing).  Two distinct keys
-    /// collide with negligible probability; the signature layer uses this to
-    /// key its host-side verification memo so results cached under one key
-    /// directory can never leak into another.
-    pub fn fingerprint(&self) -> u64 {
-        self.inner.state_fingerprint()
-    }
 }
 
 /// A message's precomputed inner-hash schedules, reusable across HMAC keys.
@@ -143,10 +147,12 @@ impl HmacKey {
 /// mean the *entire* inner-hash schedule for one message (full blocks and
 /// the padded tail) is identical for every key, so it can be expanded once
 /// and replayed against each key's precomputed inner state.  Schedule
-/// expansion is roughly a third of the compress work; on the SIMD backend
-/// the remaining per-key rounds also run 4/8 keys lane-parallel, which is
-/// where the batch-verify speedup in `results/bench-hotpath.json` comes
-/// from.
+/// expansion is roughly a third of the portable compress work; on the SIMD
+/// backend the remaining per-key rounds also run 4/8 keys lane-parallel,
+/// which is where the batch-verify speedup in `results/bench-hotpath.json`
+/// comes from on CPUs without the SHA extensions.  With them, the hardware
+/// expands the schedule itself far faster than a replay, so nothing is
+/// pre-expanded and every key compresses straight from the message.
 ///
 /// # Examples
 ///
@@ -166,11 +172,9 @@ pub struct MacSchedule<'m> {
     backend: CompressBackend,
     /// Expanded schedules for every post-ipad inner-hash block: the full
     /// message blocks, then the padded tail block(s).  Empty on the scalar
-    /// backend, which takes the original per-key path untouched.
+    /// backend, which takes the original per-key path untouched, and when
+    /// the SHA extensions compress straight from the message.
     schedules: Vec<[u32; 64]>,
-    /// How many leading entries of `schedules` cover full message blocks
-    /// (the prefix that [`MacSchedule::mac_with_suffix`] can reuse).
-    full_blocks: usize,
 }
 
 impl<'m> MacSchedule<'m> {
@@ -182,36 +186,23 @@ impl<'m> MacSchedule<'m> {
 
     /// [`MacSchedule::new`] pinned to an explicit backend.
     pub fn new_with_backend(backend: CompressBackend, message: &'m [u8]) -> Self {
-        if backend == CompressBackend::Scalar {
-            // Oracle mode: no precompute; every MAC takes the original
-            // incremental per-key path.
+        if backend == CompressBackend::Scalar || backend.uses_sha_extensions() {
+            // Oracle mode, or hardware mode: no precompute.
             return Self {
                 message,
                 backend,
                 schedules: Vec::new(),
-                full_blocks: 0,
             };
         }
         let len = message.len();
         let full = len - len % BLOCK_LEN;
-        let rem = len - full;
-        let tail_total = if rem + 1 + 8 <= BLOCK_LEN {
-            BLOCK_LEN
-        } else {
-            2 * BLOCK_LEN
-        };
-        let mut schedules = Vec::with_capacity(full / BLOCK_LEN + tail_total / BLOCK_LEN);
+        // The inner hash has already absorbed the 64-byte ipad block, so its
+        // total length — and therefore the padding — covers 64 + len bytes.
+        let (tail, tail_total) = padded_tail(&message[full..], (BLOCK_LEN + len) as u64);
+        let mut schedules = Vec::with_capacity((full + tail_total) / BLOCK_LEN);
         for block in message[..full].chunks_exact(BLOCK_LEN) {
             schedules.push(expand_schedule(block));
         }
-        let full_blocks = schedules.len();
-        // The inner hash has already absorbed the 64-byte ipad block, so its
-        // total length — and therefore the padding — covers 64 + len bytes.
-        let bit_len = ((BLOCK_LEN + len) as u64).wrapping_mul(8);
-        let mut tail = [0u8; 2 * BLOCK_LEN];
-        tail[..rem].copy_from_slice(&message[full..]);
-        tail[rem] = 0x80;
-        tail[tail_total - 8..tail_total].copy_from_slice(&bit_len.to_be_bytes());
         for block in tail[..tail_total].chunks_exact(BLOCK_LEN) {
             schedules.push(expand_schedule(block));
         }
@@ -219,7 +210,6 @@ impl<'m> MacSchedule<'m> {
             message,
             backend,
             schedules,
-            full_blocks,
         }
     }
 
@@ -229,9 +219,10 @@ impl<'m> MacSchedule<'m> {
     }
 
     /// Computes the tag under one key, replaying the precomputed schedules
-    /// against the key's inner state.
+    /// against the key's inner state (or, with nothing pre-expanded,
+    /// compressing the message itself).
     pub fn mac(&self, key: &HmacKey) -> Digest {
-        if self.backend == CompressBackend::Scalar {
+        if self.schedules.is_empty() {
             return key.mac(self.message);
         }
         let mut state = key.inner.state();
@@ -241,11 +232,12 @@ impl<'m> MacSchedule<'m> {
         outer_finalize(key, &state_to_digest(&state))
     }
 
-    /// Computes the tag under every key, lane-parallel on the SIMD backend.
+    /// Computes the tag under every key, lane-parallel on the SIMD backend
+    /// without the SHA extensions and one key at a time otherwise.
     ///
     /// `result[i]` is the tag under `keys[i]`.
     pub fn mac_batch(&self, keys: &[&HmacKey]) -> Vec<Digest> {
-        if self.backend != CompressBackend::Simd {
+        if self.schedules.is_empty() {
             return keys.iter().map(|k| self.mac(k)).collect();
         }
         let mut out = Vec::with_capacity(keys.len());
@@ -279,10 +271,14 @@ impl<'m> MacSchedule<'m> {
             return h.finalize();
         }
         let mut state = key.inner.state();
-        for w in &self.schedules[..self.full_blocks] {
-            compress_with_schedule(&mut state, w);
+        let full = self.message.len() - self.message.len() % BLOCK_LEN;
+        if self.schedules.is_empty() {
+            compress_blocks(&mut state, &self.message[..full]);
+        } else {
+            for w in &self.schedules[..full / BLOCK_LEN] {
+                compress_with_schedule(&mut state, w);
+            }
         }
-        let full = self.full_blocks * BLOCK_LEN;
         let mut h = Sha256::resume(state, (BLOCK_LEN + full) as u64, self.backend);
         h.update(&self.message[full..]);
         h.update(suffix);
@@ -325,8 +321,7 @@ fn outer_tail_block(inner_digest: &Digest) -> [u8; BLOCK_LEN] {
 #[inline]
 fn outer_finalize(key: &HmacKey, inner_digest: &Digest) -> Digest {
     let mut state = key.outer.state();
-    let w = expand_schedule(&outer_tail_block(inner_digest));
-    compress_with_schedule(&mut state, &w);
+    compress_blocks(&mut state, &outer_tail_block(inner_digest));
     state_to_digest(&state)
 }
 
@@ -549,11 +544,7 @@ mod tests {
         let refs: Vec<&HmacKey> = keys.iter().collect();
         for len in [0usize, 3, 55, 56, 63, 64, 65, 127, 128, 129, 1000] {
             let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            for backend in [
-                CompressBackend::Scalar,
-                CompressBackend::MultiBlock,
-                CompressBackend::Simd,
-            ] {
+            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
                 let schedule = MacSchedule::new_with_backend(backend, &msg);
                 let tags = schedule.mac_batch(&refs);
                 assert_eq!(tags.len(), keys.len());
@@ -574,11 +565,7 @@ mod tests {
             let mut concat = msg.clone();
             concat.extend_from_slice(&suffix);
             let expected = key.mac(&concat);
-            for backend in [
-                CompressBackend::Scalar,
-                CompressBackend::MultiBlock,
-                CompressBackend::Simd,
-            ] {
+            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
                 let schedule = MacSchedule::new_with_backend(backend, &msg);
                 assert_eq!(
                     schedule.mac_with_suffix(&key, &suffix),

@@ -14,15 +14,15 @@
 //! ## Compression backends
 //!
 //! SHA-256 compression is pluggable behind [`sha256::CompressBackend`]:
-//! `Scalar` (the original path, kept as the differential oracle),
-//! `MultiBlock` (whole-run compression with no per-block state churn), and
-//! `Simd` (the default: multi-block sequential hashing plus portable
-//! lane-parallel 4-way/8-way compression for the batch APIs — see
-//! [`simd`]).  Select process-wide with the `FS_CRYPTO_BACKEND` environment
-//! variable (`scalar` | `multiblock` | `simd`) or per call site with the
-//! `*_with_backend` constructors.  All backends compute the identical
-//! function, so backend choice can affect host wall-clock only — never a
-//! simulated clock, trace, or digest.
+//! `Scalar` (the original path, kept as the differential oracle) and `Simd`
+//! (the default: whole-run sequential hashing on the x86-64 SHA extensions
+//! where the CPU has them, detected once per process, and otherwise the
+//! portable round loop plus lane-parallel 4-way/8-way compression for the
+//! batch APIs — see [`simd`]).  Select process-wide with the
+//! `FS_CRYPTO_BACKEND` environment variable (`scalar` | `simd`) or per call
+//! site with the `*_with_backend` constructors.  All backends compute the
+//! identical function, so backend choice can affect host wall-clock only —
+//! never a simulated clock, trace, or digest.
 //!
 //! ## Batch verification contract
 //!
@@ -39,9 +39,8 @@
 //!   sequential `verify` loop would have produced first, so callers can
 //!   switch between the two without changing failure handling.
 //!
-//! Both compose with the host-side verify memos: a memo hit is answered
-//! before any batch schedule is assembled, so re-verification of an
-//! already-seen authenticator stays O(memo lookup) in a batch too.
+//! Every verification recomputes its MACs: nothing is cached between calls,
+//! so a check costs the same in one process as on separate machines.
 //!
 //! ## Example
 //!
@@ -65,9 +64,10 @@
 //!     .expect("valid FS output");
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// feature-probed AVX2 recompilation of the portable lane code in
-// [`simd`], which carries a scoped `allow` and no intrinsics.
+// `deny` rather than `forbid`: the two sanctioned exceptions are the
+// feature-probed AVX2 recompilation of the portable lane code in [`simd`]
+// (no intrinsics) and the feature-probed SHA-extension compressor in
+// `shani`; each carries a scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -75,6 +75,8 @@ pub mod cost;
 pub mod hmac;
 pub mod keys;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 pub mod sig;
 pub mod simd;
 

@@ -8,19 +8,19 @@
 //!
 //! ## Backends
 //!
-//! Three [`CompressBackend`]s produce byte-identical digests:
+//! Two [`CompressBackend`]s produce byte-identical digests:
 //!
 //! * [`CompressBackend::Scalar`] — the original one-block-at-a-time path,
 //!   kept as the differential oracle (`FS_CRYPTO_BACKEND=scalar` forces it
 //!   process-wide, which is how CI keeps it tested);
-//! * [`CompressBackend::MultiBlock`] — compresses whole block runs straight
-//!   from the input slice: the chaining state lives in registers across the
-//!   run and no per-block copy into the hasher's buffer happens;
-//! * [`CompressBackend::Simd`] — the multi-block path for sequential
-//!   hashing, plus lane-parallel compression (portable 4-way/8-way `u32`
-//!   lanes, see [`crate::simd`]) for the batch APIs
-//!   ([`Sha256::digest_batch`], [`crate::hmac::MacSchedule`]) that hash
-//!   several independent streams in one pass.
+//! * [`CompressBackend::Simd`] — the default.  Sequential hashing
+//!   compresses whole block runs straight from the input slice, on the
+//!   x86-64 SHA extensions when the CPU has them (probed once per process)
+//!   and with the portable round loop otherwise.  Without the extensions,
+//!   the batch APIs ([`Sha256::digest_batch`], [`crate::hmac::MacSchedule`])
+//!   also run several independent streams lane-parallel (portable
+//!   4-way/8-way `u32` lanes, see [`crate::simd`]); with them, one stream
+//!   at a time in hardware is faster.
 //!
 //! Because every backend computes the same function, backend selection can
 //! never change a simulation result — only host wall-clock.
@@ -60,8 +60,8 @@ const H0: [u32; 8] = [
 /// clocks, traces or digests.
 ///
 /// Selection: the first call to [`CompressBackend::active`] reads the
-/// `FS_CRYPTO_BACKEND` environment variable (`scalar`, `multiblock`,
-/// `simd`); unrecognised or absent values default to [`CompressBackend::Simd`].
+/// `FS_CRYPTO_BACKEND` environment variable (`scalar`, `simd`); unrecognised
+/// or absent values default to [`CompressBackend::Simd`].
 /// Tests and benchmarks can override per hasher
 /// ([`Sha256::new_with_backend`]) or process-wide
 /// ([`CompressBackend::set_process_default`]).
@@ -70,11 +70,9 @@ pub enum CompressBackend {
     /// One block at a time through the hasher's internal buffer — the
     /// original implementation, kept as the differential oracle.
     Scalar,
-    /// Whole block runs compressed straight from the input slice; the
-    /// chaining state stays in locals across the run.
-    MultiBlock,
-    /// [`CompressBackend::MultiBlock`] for sequential hashing plus portable
-    /// lane-parallel (4-way/8-way) compression for the batch APIs.
+    /// Whole block runs compressed straight from the input slice (on the
+    /// SHA extensions where the CPU has them), plus portable lane-parallel
+    /// (4-way/8-way) compression for the batch APIs where it does not.
     Simd,
 }
 
@@ -87,7 +85,6 @@ impl CompressBackend {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Self::Scalar),
-            "multiblock" | "multi-block" | "multi_block" => Some(Self::MultiBlock),
             "simd" => Some(Self::Simd),
             _ => None,
         }
@@ -124,15 +121,20 @@ impl CompressBackend {
     fn encode(self) -> u8 {
         match self {
             Self::Scalar => 1,
-            Self::MultiBlock => 2,
-            Self::Simd => 3,
+            Self::Simd => 2,
         }
+    }
+
+    /// Whether this backend's sequential path compresses on the x86-64 SHA
+    /// extensions on this CPU (only [`CompressBackend::Simd`] does, and
+    /// only where the CPU has them).
+    pub fn uses_sha_extensions(self) -> bool {
+        self == Self::Simd && sha_extensions_available()
     }
 
     fn decode(v: u8) -> Self {
         match v {
             1 => Self::Scalar,
-            2 => Self::MultiBlock,
             _ => Self::Simd,
         }
     }
@@ -195,11 +197,31 @@ pub(crate) fn compress_with_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// Whether the CPU has the x86-64 SHA extensions (always false elsewhere).
+fn sha_extensions_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return crate::shani::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// Compresses a whole run of blocks (`data.len()` must be a multiple of 64)
-/// straight from the input slice: the chaining state is loaded into locals
-/// once per run instead of once per block, and no bytes are copied into an
-/// intermediate block buffer.
+/// straight from the input slice — the default backend's sequential path.
+/// Runs on the SHA extensions when the CPU has them, otherwise on
+/// [`compress_blocks_portable`].
+#[inline]
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::shani::compress_blocks(state, data) {
+        return;
+    }
+    compress_blocks_portable(state, data);
+}
+
+/// The portable body of [`compress_blocks`]: the chaining state is loaded
+/// into locals once per run instead of once per block, and no bytes are
+/// copied into an intermediate block buffer.
+pub(crate) fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % BLOCK_LEN, 0);
     let mut s = *state;
     for block in data.chunks_exact(BLOCK_LEN) {
@@ -207,6 +229,25 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         compress_with_schedule(&mut s, &w);
     }
     *state = s;
+}
+
+/// The final padded block(s) of a message: its last `rem.len()` (< 64)
+/// bytes, the 0x80 terminator, zeros, and the 64-bit bit length of the
+/// `total_len` bytes hashed in all.  Returns the buffer and how many of its
+/// bytes (one block or two) to compress.
+#[inline]
+pub(crate) fn padded_tail(rem: &[u8], total_len: u64) -> ([u8; 2 * BLOCK_LEN], usize) {
+    debug_assert!(rem.len() < BLOCK_LEN);
+    let mut tail = [0u8; 2 * BLOCK_LEN];
+    tail[..rem.len()].copy_from_slice(rem);
+    tail[rem.len()] = 0x80;
+    let total = if rem.len() + 1 + 8 <= BLOCK_LEN {
+        BLOCK_LEN
+    } else {
+        2 * BLOCK_LEN
+    };
+    tail[total - 8..total].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (tail, total)
 }
 
 /// Converts a chaining state to the big-endian digest bytes.
@@ -369,6 +410,11 @@ impl Sha256 {
         self.state
     }
 
+    /// The backend this hasher compresses on.
+    pub(crate) fn backend(&self) -> CompressBackend {
+        self.backend
+    }
+
     /// Convenience one-shot digest.
     pub fn digest(data: &[u8]) -> Digest {
         Self::digest_with_backend(CompressBackend::active(), data)
@@ -376,10 +422,10 @@ impl Sha256 {
 
     /// One-shot digest on an explicit backend.
     ///
-    /// On the multi-block and SIMD backends this path never touches a
-    /// hasher: full blocks compress straight from `data` and only the final
-    /// padded block(s) are assembled on the stack — no per-block buffer
-    /// copies and no final state copy/reset.
+    /// On the default backend this path never touches a hasher: full blocks
+    /// compress straight from `data` and only the final padded block(s) are
+    /// assembled on the stack — no per-block buffer copies and no final
+    /// state copy/reset.
     pub fn digest_with_backend(backend: CompressBackend, data: &[u8]) -> Digest {
         if backend == CompressBackend::Scalar {
             // The oracle path stays exactly the original incremental code.
@@ -390,35 +436,25 @@ impl Sha256 {
         let mut state = H0;
         let full = data.len() - data.len() % BLOCK_LEN;
         compress_blocks(&mut state, &data[..full]);
-        let mut tail = [0u8; 2 * BLOCK_LEN];
-        let rem = data.len() - full;
-        tail[..rem].copy_from_slice(&data[full..]);
-        tail[rem] = 0x80;
-        let total = if rem + 1 + 8 <= BLOCK_LEN {
-            BLOCK_LEN
-        } else {
-            2 * BLOCK_LEN
-        };
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
+        let (tail, total) = padded_tail(&data[full..], data.len() as u64);
         compress_blocks(&mut state, &tail[..total]);
         state_to_digest(&state)
     }
 
     /// Hashes `messages.len()` independent messages in one pass.
     ///
-    /// On the SIMD backend, equal-length messages are grouped into 8-way
-    /// (then 4-way) lanes whose message schedules are expanded lane-wise and
-    /// compressed together; other backends hash sequentially.  Output order
-    /// matches input order and every digest equals
-    /// [`Sha256::digest`] of the same message on any backend.
+    /// On the SIMD backend without the SHA extensions, equal-length messages
+    /// are grouped into 8-way (then 4-way) lanes whose message schedules are
+    /// expanded lane-wise and compressed together; otherwise every message
+    /// is hashed sequentially.  Output order matches input order and every
+    /// digest equals [`Sha256::digest`] of the same message on any backend.
     pub fn digest_batch(messages: &[&[u8]]) -> Vec<Digest> {
         Self::digest_batch_with_backend(CompressBackend::active(), messages)
     }
 
     /// [`Sha256::digest_batch`] on an explicit backend.
     pub fn digest_batch_with_backend(backend: CompressBackend, messages: &[&[u8]]) -> Vec<Digest> {
-        if backend != CompressBackend::Simd {
+        if backend != CompressBackend::Simd || backend.uses_sha_extensions() {
             return messages
                 .iter()
                 .map(|m| Self::digest_with_backend(backend, m))
@@ -468,23 +504,14 @@ impl Sha256 {
             data = &data[take..];
             if self.buffer_len == BLOCK_LEN {
                 let block = self.buffer;
-                self.compress(&block);
+                self.compress_run(&block);
                 self.buffer_len = 0;
             }
         }
-        if self.backend == CompressBackend::Scalar {
-            while data.len() >= BLOCK_LEN {
-                let mut block = [0u8; BLOCK_LEN];
-                block.copy_from_slice(&data[..BLOCK_LEN]);
-                self.compress(&block);
-                data = &data[BLOCK_LEN..];
-            }
-        } else {
-            let full = data.len() - data.len() % BLOCK_LEN;
-            if full > 0 {
-                compress_blocks(&mut self.state, &data[..full]);
-                data = &data[full..];
-            }
+        let full = data.len() - data.len() % BLOCK_LEN;
+        if full > 0 {
+            self.compress_run(&data[..full]);
+            data = &data[full..];
         }
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
@@ -494,37 +521,26 @@ impl Sha256 {
 
     /// Finishes the hash computation and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
         // Assemble the final one or two blocks (buffered tail + 0x80
         // terminator + zero padding + 64-bit message length) in one stack
         // buffer and compress them directly — this runs once per digest on
         // the authenticated hot path, so it avoids a byte-at-a-time loop.
-        let mut tail = [0u8; 2 * BLOCK_LEN];
-        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-        tail[self.buffer_len] = 0x80;
-        let total = if self.buffer_len + 1 + 8 <= BLOCK_LEN {
-            BLOCK_LEN
-        } else {
-            2 * BLOCK_LEN
-        };
-        tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-        if self.backend == CompressBackend::Scalar {
-            let (first, second) = tail.split_at(BLOCK_LEN);
-            self.compress(first.try_into().expect("block sized"));
-            if total == 2 * BLOCK_LEN {
-                self.compress(second.try_into().expect("block sized"));
-            }
-        } else {
-            compress_blocks(&mut self.state, &tail[..total]);
-        }
+        let (tail, total) = padded_tail(&self.buffer[..self.buffer_len], self.total_len);
+        self.compress_run(&tail[..total]);
         state_to_digest(&self.state)
     }
 
-    /// A 64-bit fingerprint of the current chaining state, used by the
-    /// signature layer to key its host-side verification memo per HMAC key
-    /// (the state after absorbing the ipad block is unique per key).
-    pub(crate) fn state_fingerprint(&self) -> u64 {
-        (u64::from(self.state[0]) << 32) | u64::from(self.state[1])
+    /// Compresses whole blocks into the chaining state: one block at a time
+    /// through the original code on the scalar oracle, as one run on the
+    /// default backend.
+    fn compress_run(&mut self, blocks: &[u8]) {
+        if self.backend == CompressBackend::Scalar {
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                self.compress(block.try_into().expect("block sized"));
+            }
+        } else {
+            compress_blocks(&mut self.state, blocks);
+        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -591,24 +607,14 @@ fn digest_equal_len_wide<const N: usize>(messages: [&[u8]; N]) -> [Digest; N] {
     }
     // Equal lengths mean every lane pads to the same block count, so the
     // tails stay lane-parallel too.
-    let rem = len - full;
-    let total = if rem + 1 + 8 <= BLOCK_LEN {
-        BLOCK_LEN
-    } else {
-        2 * BLOCK_LEN
-    };
-    let bit_len = (len as u64).wrapping_mul(8);
-    let mut tails = [[0u8; 2 * BLOCK_LEN]; N];
-    for (l, tail) in tails.iter_mut().enumerate() {
-        tail[..rem].copy_from_slice(&messages[l][full..]);
-        tail[rem] = 0x80;
-        tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-    }
+    let tails: [([u8; 2 * BLOCK_LEN], usize); N] =
+        core::array::from_fn(|l| padded_tail(&messages[l][full..], len as u64));
+    let total = tails[0].1;
     let mut t = 0;
     while t < total {
         simd::compress_wide(
             &mut states,
-            core::array::from_fn(|l| &tails[l][t..t + BLOCK_LEN]),
+            core::array::from_fn(|l| &tails[l].0[t..t + BLOCK_LEN]),
         );
         t += BLOCK_LEN;
     }
@@ -736,6 +742,125 @@ mod tests {
         assert!(!ct_eq(b"same", b"sama"));
         assert!(!ct_eq(b"short", b"longer"));
         assert!(ct_eq(b"", b""));
+    }
+
+    /// A whole-block compressor: `(state, blocks)`.
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// The compressors behind the default backend's sequential path, each
+    /// called directly rather than through the dispatch in
+    /// [`compress_blocks`], so the portable one stays tested on CPUs that
+    /// have the SHA extensions.  The hardware one is listed only where the
+    /// CPU has them.
+    fn compressors() -> Vec<(&'static str, Compress)> {
+        let mut all: Vec<(&'static str, Compress)> = vec![("portable", compress_blocks_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::shani::available() {
+            all.push(("sha-extensions", |state, data| {
+                assert!(crate::shani::compress_blocks(state, data));
+            }));
+        } else {
+            eprintln!("no SHA extensions on this CPU: hardware compressor not tested");
+        }
+        all
+    }
+
+    /// A one-shot digest computed with `compress` alone.
+    fn digest_on(compress: Compress, data: &[u8]) -> Digest {
+        let mut state = H0;
+        let full = data.len() - data.len() % BLOCK_LEN;
+        compress(&mut state, &data[..full]);
+        let (tail, total) = padded_tail(&data[full..], data.len() as u64);
+        compress(&mut state, &tail[..total]);
+        state_to_digest(&state)
+    }
+
+    #[test]
+    fn compressors_match_cavp_vectors() {
+        // FIPS 180-4 example messages (NIST CAVP short/long message forms).
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ];
+        let million_a = vec![b'a'; 1_000_000];
+        for (name, compress) in compressors() {
+            for (msg, expected) in vectors {
+                assert_eq!(digest_on(compress, msg).to_hex(), expected, "{name}");
+            }
+            assert_eq!(
+                digest_on(compress, &million_a).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}, one million 'a'"
+            );
+        }
+    }
+
+    #[test]
+    fn compressors_agree_with_scalar_oracle_at_every_length_to_300() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let oracle = Sha256::digest_with_backend(CompressBackend::Scalar, &data[..len]);
+            for (name, compress) in compressors() {
+                assert_eq!(
+                    digest_on(compress, &data[..len]),
+                    oracle,
+                    "{name}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random messages of 0 to 300 bytes (one to six blocks with
+        /// padding): each compressor's digest equals the scalar oracle's.
+        #[test]
+        fn compressors_agree_with_scalar_oracle(
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..301),
+        ) {
+            let oracle = Sha256::digest_with_backend(CompressBackend::Scalar, &msg);
+            for (name, compress) in compressors() {
+                proptest::prop_assert_eq!(digest_on(compress, &msg), oracle, "{}", name);
+            }
+        }
+
+        /// A multi-block run from an arbitrary chaining state, compressed in
+        /// one call, equals the oracle's rounds applied block by block.
+        #[test]
+        fn multi_block_runs_chain_like_single_blocks(
+            words in proptest::collection::vec(proptest::prelude::any::<u32>(), 8),
+            blocks in 1usize..9,
+            seed in proptest::prelude::any::<u8>(),
+        ) {
+            let start: [u32; 8] = core::array::from_fn(|i| words[i]);
+            let data: Vec<u8> = (0..blocks * BLOCK_LEN)
+                .map(|i| (i as u8).wrapping_mul(seed | 1) ^ seed)
+                .collect();
+            let mut expected = start;
+            for block in data.chunks_exact(BLOCK_LEN) {
+                compress_with_schedule(&mut expected, &expand_schedule(block));
+            }
+            for (name, compress) in compressors() {
+                let mut state = start;
+                compress(&mut state, &data);
+                proptest::prop_assert_eq!(state, expected, "{}", name);
+            }
+        }
     }
 
     #[test]

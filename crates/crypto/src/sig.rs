@@ -14,9 +14,6 @@
 //! This module provides those building blocks generically over any byte
 //! payload; the envelope types live in the `failsignal` crate.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use fs_common::SignatureError;
@@ -24,99 +21,6 @@ use fs_common::SignatureError;
 use crate::hmac::{HmacKey, MacSchedule};
 use crate::keys::{KeyDirectory, SignerId, SigningKey};
 use crate::sha256::{ct_eq, Digest};
-
-/// Upper bound on the host-side verification memo entry count; reaching it
-/// clears the memo (the working set of in-flight messages is far smaller).
-const VERIFY_MEMO_MAX: usize = 16 * 1024;
-
-/// Upper bound on the total message bytes retained by the memo, so large
-/// payloads cannot pin unbounded memory between clears.
-const VERIFY_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-
-/// The verification memo: entry map plus the running total of stored
-/// message bytes (both bounds trigger a wholesale clear).
-#[derive(Default)]
-struct VerifyMemoStore {
-    map: HashMap<(SignerId, u64, Digest), Vec<u8>>,
-    bytes: usize,
-}
-
-impl VerifyMemoStore {
-    fn matches(&self, key: &(SignerId, u64, Digest), message: &[u8]) -> bool {
-        self.map
-            .get(key)
-            .is_some_and(|cached| cached.as_slice() == message)
-    }
-
-    /// [`VerifyMemoStore::matches`] against the logical concatenation of
-    /// `parts`, compared piecewise so probing for a suffixed message (the
-    /// co-signature shape) never allocates the concatenation.
-    fn matches_parts(&self, key: &(SignerId, u64, Digest), parts: &[&[u8]]) -> bool {
-        let Some(cached) = self.map.get(key) else {
-            return false;
-        };
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if cached.len() != total {
-            return false;
-        }
-        let mut off = 0;
-        for part in parts {
-            if &cached[off..off + part.len()] != *part {
-                return false;
-            }
-            off += part.len();
-        }
-        true
-    }
-
-    fn insert(&mut self, key: (SignerId, u64, Digest), message: &[u8]) {
-        self.insert_owned(key, message.to_vec());
-    }
-
-    fn insert_parts(&mut self, key: (SignerId, u64, Digest), parts: &[&[u8]]) {
-        let mut message = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for part in parts {
-            message.extend_from_slice(part);
-        }
-        self.insert_owned(key, message);
-    }
-
-    fn insert_owned(&mut self, key: (SignerId, u64, Digest), message: Vec<u8>) {
-        if self.map.len() >= VERIFY_MEMO_MAX || self.bytes >= VERIFY_MEMO_MAX_BYTES {
-            self.map.clear();
-            self.bytes = 0;
-        }
-        self.bytes += message.len();
-        if let Some(old) = self.map.insert(key, message) {
-            self.bytes -= old.len();
-        }
-    }
-}
-
-thread_local! {
-    /// Host-side memo of *successful* verifications.
-    ///
-    /// A simulation host runs every simulated node in one process, so the
-    /// same double-signed frame is verified once per destination — identical
-    /// `(key, message, tag)` triples, recomputed.  HMAC is deterministic, so
-    /// a verification that succeeded once succeeds forever; memoising the
-    /// verdict is the verify-side analogue of encoding a multicast frame
-    /// once and refcount-sharing it per recipient.  Only the host-side work
-    /// is skipped: call sites still charge the simulated verification cost,
-    /// so simulated clocks, traces and statistics are byte-identical with
-    /// the memo on or off (and `Signature::verify_uncached` bypasses it,
-    /// which is what the benchmarks measure).
-    ///
-    /// Keyed by `(signer, key fingerprint, tag)` with the message stored in
-    /// the entry: a hit requires the exact message bytes to match, and the
-    /// fingerprint ties the verdict to the concrete key material so caches
-    /// can never leak across key directories.  Failures are never cached.
-    /// Entry count and retained bytes are both bounded.  (In the threaded
-    /// runtime each thread has its own memo, so signer-side seeding cannot
-    /// help remote verifiers there — it is bounded pure overhead, a few
-    /// percent of the HMAC it accompanies.)
-    static VERIFY_MEMO: RefCell<VerifyMemoStore> = RefCell::new(VerifyMemoStore::default());
-}
 
 /// A signature by a single signer over a byte string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,31 +34,14 @@ pub struct Signature {
 impl Signature {
     /// Signs `message` with `key`, resuming from the key's precomputed HMAC
     /// state (the RFC 2104 key schedule is never re-expanded per message).
-    ///
-    /// Signing also seeds the host-side verification memo: the produced tag
-    /// *is* `HMAC(key, message)`, which is exactly the invariant a memo
-    /// entry records, and on a simulation host the verifier of this very
-    /// signature runs in the same process a few simulated microseconds
-    /// later.  Its check then becomes a hash-map probe instead of a second
-    /// HMAC computation over the same bytes.
     pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-        let tag = key.hmac().mac(message);
-        let memo_key = (key.signer, key.hmac().fingerprint(), tag);
-        VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo_key, message));
         Signature {
             signer: key.signer,
-            tag,
+            tag: key.hmac().mac(message),
         }
     }
 
     /// Verifies this signature over `message` against the key directory.
-    ///
-    /// Successful verifications are memoised host-side (in the module-private `VERIFY_MEMO` table):
-    /// re-verifying the same `(key, message, tag)` triple — the normal case
-    /// when one multicast frame is checked at several co-hosted simulated
-    /// destinations — is a hash-map probe instead of an HMAC computation.
-    /// The verdict is identical either way; callers remain responsible for
-    /// charging the simulated verification cost.
     ///
     /// # Errors
     ///
@@ -162,32 +49,6 @@ impl Signature {
     ///   directory.
     /// * [`SignatureError::Invalid`] — the tag does not verify.
     pub fn verify(&self, directory: &KeyDirectory, message: &[u8]) -> Result<(), SignatureError> {
-        let key = directory.lookup(self.signer)?;
-        let memo_key = (self.signer, key.hmac().fingerprint(), self.tag);
-        let hit = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo_key, message));
-        if hit {
-            return Ok(());
-        }
-        if key.hmac().verify(message, self.tag.as_bytes()) {
-            VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo_key, message));
-            Ok(())
-        } else {
-            Err(SignatureError::Invalid)
-        }
-    }
-
-    /// Like [`Signature::verify`] but always recomputes the HMAC, bypassing
-    /// the host-side memo.  The `hotpath` benchmark uses this to measure the
-    /// true cost of a verification.
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify_uncached(
-        &self,
-        directory: &KeyDirectory,
-        message: &[u8],
-    ) -> Result<(), SignatureError> {
         let key = directory.lookup(self.signer)?;
         if key.hmac().verify(message, self.tag.as_bytes()) {
             Ok(())
@@ -198,14 +59,12 @@ impl Signature {
 
     /// Verifies every signature in `sigs` over the same `message` — the
     /// authenticator-vector shape: one message, *n* MACs — sharing the inner
-    /// message schedule across the batch and running the per-key rounds
-    /// lane-parallel on the SIMD backend.
+    /// message schedule across the batch (and, without the SHA extensions,
+    /// running the per-key rounds lane-parallel).
     ///
     /// All-or-nothing contract: returns `Ok(())` only when every signature
     /// verifies, and otherwise exactly the error a sequential
-    /// [`Signature::verify`] loop would have produced first.  Memo hits are
-    /// answered before any batch work is assembled, and a fully successful
-    /// batch seeds the memo like the sequential path would.
+    /// [`Signature::verify`] loop would have produced first.
     ///
     /// # Errors
     ///
@@ -215,60 +74,9 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
-        // Resolve keys and probe the memo in index order.  A lookup failure
-        // stops resolution (the sequential loop never looks past it), but
-        // lower-indexed misses must still be verified first: an Invalid
-        // among them takes precedence over the lookup error.
-        let mut miss_sigs: Vec<&Signature> = Vec::new();
-        let mut miss_keys: Vec<&HmacKey> = Vec::new();
-        let mut lookup_err = None;
-        for sig in sigs {
-            match directory.lookup(sig.signer) {
-                Err(e) => {
-                    lookup_err = Some(e);
-                    break;
-                }
-                Ok(key) => {
-                    let memo_key = (sig.signer, key.hmac().fingerprint(), sig.tag);
-                    let hit = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo_key, message));
-                    if !hit {
-                        miss_sigs.push(sig);
-                        miss_keys.push(key.hmac());
-                    }
-                }
-            }
-        }
-        if !miss_sigs.is_empty() {
-            let expected = HmacKey::mac_batch(&miss_keys, message);
-            for (sig, tag) in miss_sigs.iter().zip(&expected) {
-                if !ct_eq(tag.as_bytes(), sig.tag.as_bytes()) {
-                    return Err(SignatureError::Invalid);
-                }
-            }
-            VERIFY_MEMO.with(|memo| {
-                let mut memo = memo.borrow_mut();
-                for (sig, key) in miss_sigs.iter().zip(&miss_keys) {
-                    memo.insert((sig.signer, key.fingerprint(), sig.tag), message);
-                }
-            });
-        }
-        match lookup_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// [`Signature::verify_batch`] bypassing the host-side memo — the
-    /// benchmark's view of the true batched verification cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify_batch_uncached(
-        sigs: &[&Signature],
-        directory: &KeyDirectory,
-        message: &[u8],
-    ) -> Result<(), SignatureError> {
+        // A lookup failure stops resolution (the sequential loop never looks
+        // past it), but the signatures before it are still verified first:
+        // an Invalid among them takes precedence over the lookup error.
         let mut keys: Vec<&HmacKey> = Vec::with_capacity(sigs.len());
         let mut lookup_err = None;
         for sig in sigs {
@@ -291,38 +99,43 @@ impl Signature {
             None => Ok(()),
         }
     }
+
+    /// Another name for [`Signature::verify_batch`], which caches nothing:
+    /// every call recomputes all its MACs.
+    ///
+    /// # Errors
+    ///
+    /// See [`Signature::verify`].
+    pub fn verify_batch_uncached(
+        sigs: &[&Signature],
+        directory: &KeyDirectory,
+        message: &[u8],
+    ) -> Result<(), SignatureError> {
+        Self::verify_batch(sigs, directory, message)
+    }
+
+    /// Counter-signs `first`, a signature over `content_bytes`, with `key`.
+    ///
+    /// The counter-signature covers the content bytes *and* the first
+    /// signature (see `cosign_suffix`), so the pair of signatures cannot be
+    /// mixed and matched across messages.  The suffix is hashed straight
+    /// after the content: the concatenation is never materialised.
+    pub fn counter_sign(key: &SigningKey, content_bytes: &[u8], first: &Signature) -> Signature {
+        Signature {
+            signer: key.signer,
+            tag: MacSchedule::new(content_bytes).mac_with_suffix(key.hmac(), &cosign_suffix(first)),
+        }
+    }
 }
 
 /// The fixed 36-byte suffix the second (counter-) signature covers in
 /// addition to the content bytes: the first signer's id (little-endian) and
-/// the first signature's tag.  Must stay byte-identical to the tail of
-/// [`co_sign_bytes`].
+/// the first signature's tag.
 fn cosign_suffix(first: &Signature) -> [u8; 36] {
     let mut suffix = [0u8; 36];
     suffix[..4].copy_from_slice(&(first.signer.0).0.to_le_bytes());
     suffix[4..].copy_from_slice(first.tag.as_bytes());
     suffix
-}
-
-/// A [`MacSchedule`] built only when a memo miss actually needs it, then
-/// shared by every subsequent MAC over the same content bytes.
-struct LazyMacSchedule<'m> {
-    message: &'m [u8],
-    schedule: Option<MacSchedule<'m>>,
-}
-
-impl<'m> LazyMacSchedule<'m> {
-    fn new(message: &'m [u8]) -> Self {
-        Self {
-            message,
-            schedule: None,
-        }
-    }
-
-    fn get(&mut self) -> &MacSchedule<'m> {
-        self.schedule
-            .get_or_insert_with(|| MacSchedule::new(self.message))
-    }
 }
 
 /// Verifies a co-signed pair of signatures over `content_bytes` — the first
@@ -331,10 +144,9 @@ impl<'m> LazyMacSchedule<'m> {
 /// schedule between the two MAC computations (all full content blocks are
 /// common to both).
 ///
-/// Verification order, memo behaviour and error precedence are identical to
-/// verifying the two signatures sequentially with [`Signature::verify`]:
-/// first signer lookup, first signature, second signer lookup, second
-/// signature.
+/// Verification order and error precedence are identical to verifying the
+/// two signatures sequentially with [`Signature::verify`]: first signer
+/// lookup, first signature, second signer lookup, second signature.
 ///
 /// # Errors
 ///
@@ -345,8 +157,7 @@ pub fn verify_cosign_pair(
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let mut schedule = LazyMacSchedule::new(content_bytes);
-    verify_cosign_pair_with(directory, &mut schedule, first, second)
+    verify_cosign_pair_with(directory, &MacSchedule::new(content_bytes), first, second)
 }
 
 /// [`verify_cosign_pair`] over a caller-held schedule, so a batch of pairs
@@ -354,53 +165,10 @@ pub fn verify_cosign_pair(
 /// [`DoubleSigned::verify_batch`]).
 fn verify_cosign_pair_with(
     directory: &KeyDirectory,
-    schedule: &mut LazyMacSchedule<'_>,
+    schedule: &MacSchedule<'_>,
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let content_bytes = schedule.message;
-    let key1 = directory.lookup(first.signer)?;
-    let memo1 = (first.signer, key1.hmac().fingerprint(), first.tag);
-    let hit1 = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo1, content_bytes));
-    if !hit1 {
-        let tag = schedule.get().mac(key1.hmac());
-        if !ct_eq(tag.as_bytes(), first.tag.as_bytes()) {
-            return Err(SignatureError::Invalid);
-        }
-        VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo1, content_bytes));
-    }
-    let key2 = directory.lookup(second.signer)?;
-    let suffix = cosign_suffix(first);
-    let memo2 = (second.signer, key2.hmac().fingerprint(), second.tag);
-    let hit2 = VERIFY_MEMO.with(|memo| {
-        memo.borrow()
-            .matches_parts(&memo2, &[content_bytes, &suffix])
-    });
-    if !hit2 {
-        let tag = schedule.get().mac_with_suffix(key2.hmac(), &suffix);
-        if !ct_eq(tag.as_bytes(), second.tag.as_bytes()) {
-            return Err(SignatureError::Invalid);
-        }
-        VERIFY_MEMO.with(|memo| {
-            memo.borrow_mut()
-                .insert_parts(memo2, &[content_bytes, &suffix])
-        });
-    }
-    Ok(())
-}
-
-/// [`verify_cosign_pair`] bypassing the host-side memo (benchmark path).
-///
-/// # Errors
-///
-/// See [`Signature::verify`].
-pub fn verify_cosign_pair_uncached(
-    directory: &KeyDirectory,
-    content_bytes: &[u8],
-    first: &Signature,
-    second: &Signature,
-) -> Result<(), SignatureError> {
-    let schedule = MacSchedule::new(content_bytes);
     let key1 = directory.lookup(first.signer)?;
     if !ct_eq(schedule.mac(key1.hmac()).as_bytes(), first.tag.as_bytes()) {
         return Err(SignatureError::Invalid);
@@ -454,10 +222,7 @@ impl<T> SingleSigned<T> {
     /// Counter-signs this message with a second key, producing the
     /// double-signed form that destinations accept as the FS process output.
     pub fn counter_sign(self, content_bytes: &[u8], key: &SigningKey) -> DoubleSigned<T> {
-        // The second signature covers the content bytes *and* the first
-        // signature, so the pair of signatures cannot be mixed and matched
-        // across messages.
-        let second = Signature::sign(key, &co_sign_bytes(content_bytes, &self.signature));
+        let second = Signature::counter_sign(key, content_bytes, &self.signature);
         DoubleSigned {
             content: self.content,
             first: self.signature,
@@ -476,13 +241,6 @@ pub struct DoubleSigned<T> {
     pub first: Signature,
     /// The second signature (by the wrapper that successfully compared it).
     pub second: Signature,
-}
-
-fn co_sign_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(content_bytes.len() + 36);
-    buf.extend_from_slice(content_bytes);
-    buf.extend_from_slice(&cosign_suffix(first));
-    buf
 }
 
 impl<T> DoubleSigned<T> {
@@ -522,8 +280,7 @@ impl<T> DoubleSigned<T> {
     ///
     /// All-or-nothing contract: `Ok(())` only when every item verifies,
     /// otherwise the error a sequential [`DoubleSigned::verify`] loop would
-    /// have produced first.  Memo hits short-circuit per signature exactly
-    /// as in the sequential path.
+    /// have produced first.
     ///
     /// # Errors
     ///
@@ -534,10 +291,10 @@ impl<T> DoubleSigned<T> {
         content_bytes: &[u8],
         expected_pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
-        let mut schedule = LazyMacSchedule::new(content_bytes);
+        let schedule = MacSchedule::new(content_bytes);
         for item in items {
             item.check_pair(expected_pair)?;
-            verify_cosign_pair_with(directory, &mut schedule, &item.first, &item.second)?;
+            verify_cosign_pair_with(directory, &schedule, &item.first, &item.second)?;
         }
         Ok(())
     }
@@ -587,6 +344,13 @@ mod tests {
     use super::*;
     use fs_common::id::ProcessId;
     use fs_common::rng::DetRng;
+
+    /// The bytes a counter-signature covers, materialised.
+    fn co_sign_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
+        let mut buf = content_bytes.to_vec();
+        buf.extend_from_slice(&cosign_suffix(first));
+        buf
+    }
 
     fn setup() -> (
         SigningKey,
@@ -787,9 +551,6 @@ mod tests {
             .map(|p| Signature::sign(&keys[&SignerId(*p)], &msg))
             .collect();
         let refs: Vec<&Signature> = sigs.iter().collect();
-        // Uncached exercises the full batch computation regardless of the
-        // memo seeded by signing.
-        assert!(Signature::verify_batch_uncached(&refs, &dir, &msg).is_ok());
         assert!(Signature::verify_batch(&refs, &dir, &msg).is_ok());
     }
 
@@ -799,20 +560,26 @@ mod tests {
         let bytes: Vec<u8> = (0..300u16).map(|x| (x % 251) as u8).collect();
         let double = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &b);
         assert!(verify_cosign_pair(&dir, &bytes, &double.first, &double.second).is_ok());
-        assert!(verify_cosign_pair_uncached(&dir, &bytes, &double.first, &double.second).is_ok());
-        // The uncached path agrees with the sequential uncached checks.
-        assert!(double.first.verify_uncached(&dir, &bytes).is_ok());
+        // The shared-schedule path agrees with the sequential checks.
+        assert!(double.first.verify(&dir, &bytes).is_ok());
         assert!(double
             .second
-            .verify_uncached(&dir, &co_sign_bytes(&bytes, &double.first))
+            .verify(&dir, &co_sign_bytes(&bytes, &double.first))
             .is_ok());
         // Tampering with either signature is caught.
-        let mut bad = double.clone();
-        bad.second.tag = crate::sha256::Sha256::digest(b"forged");
-        assert_eq!(
-            verify_cosign_pair_uncached(&dir, &bytes, &bad.first, &bad.second).unwrap_err(),
-            SignatureError::Invalid
-        );
+        for tamper_first in [true, false] {
+            let mut bad = double.clone();
+            let target = if tamper_first {
+                &mut bad.first
+            } else {
+                &mut bad.second
+            };
+            target.tag = crate::sha256::Sha256::digest(b"forged");
+            assert_eq!(
+                verify_cosign_pair(&dir, &bytes, &bad.first, &bad.second).unwrap_err(),
+                SignatureError::Invalid
+            );
+        }
     }
 
     #[test]

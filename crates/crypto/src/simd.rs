@@ -38,8 +38,8 @@
 //!   verifying the same message — roughly a third of the scalar compress
 //!   work amortizes across the batch).
 
-// The only unsafe in the crate: `#[target_feature]` twins of the portable
-// bodies plus their probe-guarded calls (see the module docs).
+// `#[target_feature]` twins of the portable bodies plus their probe-guarded
+// calls (see the module docs); the crate's other unsafe is in `shani`.
 #![allow(unsafe_code)]
 
 use crate::sha256::{BLOCK_LEN, K};

@@ -8,19 +8,15 @@
 //!    one-block and two-block padding cliffs) plus long messages, with
 //!    expected digests produced by an independent implementation (Python's
 //!    `hashlib`/`hmac`), checked against *each* backend separately.
-//! 2. **Internal differential:** properties asserting scalar, multi-block
-//!    and SIMD paths byte-identical on random (message, key, batch size)
-//!    inputs, including the batch and suffixed (co-signature-shaped) APIs.
+//! 2. **Internal differential:** properties asserting the scalar and SIMD
+//!    paths byte-identical on random (message, key, batch size) inputs,
+//!    including the batch and suffixed (co-signature-shaped) APIs.
 
 use fs_crypto::hmac::{HmacKey, MacSchedule};
 use fs_crypto::sha256::{CompressBackend, Digest, Sha256};
 use proptest::prelude::*;
 
-const BACKENDS: [CompressBackend; 3] = [
-    CompressBackend::Scalar,
-    CompressBackend::MultiBlock,
-    CompressBackend::Simd,
-];
+const BACKENDS: [CompressBackend; 2] = [CompressBackend::Scalar, CompressBackend::Simd];
 
 /// The deterministic filler pattern the expected vectors were generated
 /// over: byte `i` is `i % 251` (a prime stride, so no 64-byte periodicity).
@@ -220,7 +216,6 @@ proptest! {
     #[test]
     fn random_digests_agree(msg in proptest::collection::vec(any::<u8>(), 0..600)) {
         let scalar = Sha256::digest_with_backend(CompressBackend::Scalar, &msg);
-        prop_assert_eq!(Sha256::digest_with_backend(CompressBackend::MultiBlock, &msg), scalar);
         prop_assert_eq!(Sha256::digest_with_backend(CompressBackend::Simd, &msg), scalar);
     }
 

@@ -601,10 +601,12 @@ impl ThreadedBuilder {
     /// Starts one thread per node and returns the running runtime.
     ///
     /// When a fault plane is configured (a topology with initial faults or a
-    /// non-empty link schedule), a control thread is started alongside the
-    /// node threads: it applies scheduled faults at their offsets by
-    /// publishing successor topology snapshots and ships scheduled lifecycle
-    /// events to their hosting nodes.
+    /// non-empty link schedule), faults and lifecycle events due at offset
+    /// zero are applied before any node thread starts, so no actor can act
+    /// ahead of them.  If later events remain, a control thread is started
+    /// alongside the node threads: it applies scheduled faults at their
+    /// offsets by publishing successor topology snapshots and ships
+    /// scheduled lifecycle events to their hosting nodes.
     pub fn start(self) -> ThreadedRuntime {
         let epoch = Instant::now();
         let mut node_of: HashMap<ProcessId, usize> = HashMap::new();
@@ -653,31 +655,30 @@ impl ThreadedBuilder {
         // and spawn no control thread.
         let gate = (self.topology.has_faults() || !self.schedule.is_empty())
             .then(|| Arc::new(LinkGate::new(self.topology)));
-        let (control_stop, control_handle) = if gate.is_some() || !lifecycle.is_empty() {
-            let (stop_tx, stop_rx) = unbounded();
-            let gate = gate.clone();
-            let ctl_txs = Arc::clone(&txs);
-            let ctl_shared = Arc::clone(&shared);
-            let schedule = self.schedule.in_order();
-            // Publish the first pending fault/lifecycle event before
-            // anything can probe for quiescence (the control thread keeps
-            // this up to date).
-            let first_fault = schedule.first().map_or(u64::MAX, |e| e.at.as_nanos());
-            let first_lifecycle = lifecycle.front().map_or(u64::MAX, |e| e.at.as_nanos());
-            shared
-                .next_fault_due
-                .store(first_fault.min(first_lifecycle), Ordering::SeqCst);
-            let handle = std::thread::Builder::new()
-                .name("simnet-linkctl".into())
-                .spawn(move || {
-                    control_main(
-                        stop_rx, ctl_txs, gate, schedule, lifecycle, epoch, ctl_shared,
-                    )
-                })
-                .expect("spawn link control thread");
-            (Some(stop_tx), Some(handle))
-        } else {
-            (None, None)
+        let mut plane = (gate.is_some() || !lifecycle.is_empty()).then(|| ControlPlane {
+            txs: Arc::clone(&txs),
+            gate: gate.clone(),
+            schedule: self.schedule.in_order(),
+            next_fault: 0,
+            lifecycle,
+            epoch,
+            shared: Arc::clone(&shared),
+        });
+        // Faults and lifecycle events due at start take effect here, before
+        // any node thread runs, so even the very first send sees them; this
+        // also publishes the next pending one before anything can probe for
+        // quiescence.  A control thread applies the rest at their offsets.
+        let later = plane.as_mut().and_then(|plane| plane.apply_due(epoch));
+        let (control_stop, control_handle) = match (plane, later) {
+            (Some(plane), Some(_)) => {
+                let (stop_tx, stop_rx) = unbounded();
+                let handle = std::thread::Builder::new()
+                    .name("simnet-linkctl".into())
+                    .spawn(move || control_main(stop_rx, plane))
+                    .expect("spawn link control thread");
+                (Some(stop_tx), Some(handle))
+            }
+            _ => (None, None),
         };
 
         let mut handles = Vec::new();
@@ -946,6 +947,10 @@ struct ThreadContext<'a> {
 #[derive(Default)]
 struct TimerState {
     heap: BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerId)>>,
+    /// The generation of each armed timer; heap entries of any other
+    /// generation are stale (re-armed or cancelled).  Entries leave when
+    /// their timer fires or is cancelled, so the map holds armed timers
+    /// only.
     generation: HashMap<TimerId, u64>,
     next_gen: u64,
 }
@@ -958,8 +963,7 @@ impl TimerState {
             .push(std::cmp::Reverse((deadline, self.next_gen, timer)));
     }
     fn cancel(&mut self, timer: TimerId) {
-        self.next_gen += 1;
-        self.generation.insert(timer, self.next_gen);
+        self.generation.remove(&timer);
     }
     fn next_deadline(&self) -> Option<Instant> {
         self.heap.peek().map(|std::cmp::Reverse((at, _, _))| *at)
@@ -973,6 +977,7 @@ impl TimerState {
             }
             self.heap.pop();
             if self.generation.get(&timer) == Some(&generation) {
+                self.generation.remove(&timer);
                 fired.push(timer);
             }
         }
@@ -1237,41 +1242,45 @@ struct TimedLifecycle {
     action: NodeLifecycle,
 }
 
-/// The link-schedule / lifecycle thread: applies each scheduled link fault
-/// at its wall-clock offset from the epoch by publishing a successor
-/// topology snapshot, and ships scheduled process lifecycle events to their
-/// hosting node threads.  Exits once both schedules have drained, or when
-/// the runtime handle drops the stop channel at shutdown.  (Fault-delayed
-/// frames are re-injected by the *sending* node's own delay wheel — the
-/// control thread is not on the data path.)
-fn control_main(
-    stop: Receiver<()>,
+/// The link-fault and lifecycle schedules still to apply, and what
+/// applying them takes.
+struct ControlPlane {
     txs: Arc<Vec<Sender<Envelope>>>,
     gate: Option<Arc<LinkGate>>,
     schedule: Vec<LinkEvent>,
-    mut lifecycle: VecDeque<TimedLifecycle>,
+    /// Index of the first link fault of `schedule` not yet applied.
+    next_fault: usize,
+    lifecycle: VecDeque<TimedLifecycle>,
     epoch: Instant,
     shared: Arc<Shared>,
-) {
-    let mut next_fault = 0usize;
-    let fault_due = |event: &LinkEvent| epoch + Duration::from_nanos(event.at.as_nanos());
-    let lifecycle_due = |event: &TimedLifecycle| epoch + Duration::from_nanos(event.at.as_nanos());
-    let cell = shared.external();
-    loop {
-        let now = Instant::now();
-        while next_fault < schedule.len() && fault_due(&schedule[next_fault]) <= now {
-            let event = &schedule[next_fault];
-            if let Some(gate) = &gate {
+}
+
+impl ControlPlane {
+    fn due(&self, at: SimTime) -> Instant {
+        self.epoch + Duration::from_nanos(at.as_nanos())
+    }
+
+    /// Applies every link fault and ships every lifecycle event due by
+    /// `now`, publishes the offset of the next pending one for the
+    /// quiescence probe, and returns when it falls due (`None` once both
+    /// schedules have drained).
+    fn apply_due(&mut self, now: Instant) -> Option<Instant> {
+        let cell = self.shared.external();
+        while let Some(event) = self.schedule.get(self.next_fault) {
+            if self.due(event.at) > now {
+                break;
+            }
+            if let Some(gate) = &self.gate {
                 gate.apply(&event.scope, &event.fault);
             }
             cell.link_faults.fetch_add(1, Ordering::Relaxed);
-            next_fault += 1;
+            self.next_fault += 1;
         }
-        while lifecycle
-            .front()
-            .is_some_and(|event| lifecycle_due(event) <= now)
-        {
-            let event = lifecycle.pop_front().expect("front checked");
+        while let Some(event) = self.lifecycle.front() {
+            if self.due(event.at) > now {
+                break;
+            }
+            let event = self.lifecycle.pop_front().expect("front checked");
             cell.lifecycle_events.fetch_add(1, Ordering::Relaxed);
             // Counted enqueued like any envelope so the quiescence probe
             // never settles between hand-off and processing.
@@ -1280,29 +1289,33 @@ fn control_main(
                 process: event.process,
                 action: event.action,
             };
-            if txs[event.node].send(envelope).is_err() {
+            if self.txs[event.node].send(envelope).is_err() {
                 cell.processed.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let next_link_fault = schedule
-            .get(next_fault)
-            .map_or(u64::MAX, |e| e.at.as_nanos());
-        let next_lifecycle = lifecycle.front().map_or(u64::MAX, |e| e.at.as_nanos());
-        shared
+        let next = self
+            .schedule
+            .get(self.next_fault)
+            .map(|e| e.at)
+            .into_iter()
+            .chain(self.lifecycle.front().map(|e| e.at))
+            .min();
+        self.shared
             .next_fault_due
-            .store(next_link_fault.min(next_lifecycle), Ordering::SeqCst);
-        let mut wake: Option<Instant> = None;
-        if next_fault < schedule.len() {
-            wake = Some(fault_due(&schedule[next_fault]));
-        }
-        if let Some(event) = lifecycle.front() {
-            let due = lifecycle_due(event);
-            wake = Some(wake.map_or(due, |w| w.min(due)));
-        }
-        // Both schedules drained: nothing left to do, ever.
-        let Some(deadline) = wake else {
-            break;
-        };
+            .store(next.map_or(u64::MAX, |at| at.as_nanos()), Ordering::SeqCst);
+        next.map(|at| self.due(at))
+    }
+}
+
+/// The link-schedule / lifecycle thread: applies each scheduled link fault
+/// at its wall-clock offset from the epoch by publishing a successor
+/// topology snapshot, and ships scheduled process lifecycle events to their
+/// hosting node threads.  Exits once both schedules have drained, or when
+/// the runtime handle drops the stop channel at shutdown.  (Fault-delayed
+/// frames are re-injected by the *sending* node's own delay wheel — the
+/// control thread is not on the data path.)
+fn control_main(stop: Receiver<()>, mut plane: ControlPlane) {
+    while let Some(deadline) = plane.apply_due(Instant::now()) {
         match stop.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Err(RecvTimeoutError::Timeout) => continue,
             Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
@@ -1922,6 +1935,77 @@ mod tests {
         assert_eq!(stats.link_faults, 2, "both scheduled faults executed");
         assert_eq!(stats.dropped_link, 1);
         rt.shutdown();
+    }
+
+    /// Sends one frame to `dest` from its start hook: the earliest send a
+    /// deployment can make.
+    struct StartSender {
+        dest: ProcessId,
+    }
+
+    impl Actor for StartSender {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            ctx.send(self.dest, b"first"[..].into());
+        }
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+    }
+
+    #[test]
+    fn sever_due_at_start_drops_the_very_first_send() {
+        // Faults due at t = 0 are applied before any node thread starts, so
+        // no start can race its first send past them.
+        for start in 0..100 {
+            let shared = Arc::new(AtomicUsize::new(0));
+            let schedule = LinkSchedule::new().then(
+                SimTime::ZERO,
+                crate::link::LinkScope::Pair {
+                    a: NodeId(0),
+                    b: NodeId(1),
+                },
+                LinkFault::Sever,
+            );
+            let mut builder = ThreadedBuilder::default().with_link_schedule(schedule);
+            let n0 = builder.add_node();
+            let n1 = builder.add_node();
+            builder.add_with_on(
+                ProcessId(0),
+                n0,
+                Box::new(StartSender { dest: ProcessId(1) }),
+            );
+            builder.add_with_on(
+                ProcessId(1),
+                n1,
+                Box::new(Counter {
+                    seen: 0,
+                    shared: Arc::clone(&shared),
+                }),
+            );
+            let rt = builder.start();
+            rt.run_until_settled(SimTime::from_secs(2));
+            let stats = rt.net_stats();
+            assert_eq!(stats.link_faults, 1, "start {start}");
+            assert_eq!(stats.dropped_link, 1, "start {start}: first send dropped");
+            rt.shutdown();
+            assert_eq!(shared.load(Ordering::SeqCst), 0, "start {start}");
+        }
+    }
+
+    #[test]
+    fn timer_state_forgets_fired_and_cancelled_timers() {
+        let mut timers = TimerState::default();
+        let now = Instant::now();
+        let later = now + Duration::from_secs(3600);
+        for i in 0..100 {
+            // arm → fire
+            timers.arm(now, TimerId(2 * i));
+            // arm → cancel
+            timers.arm(later, TimerId(2 * i + 1));
+            timers.cancel(TimerId(2 * i + 1));
+            assert_eq!(timers.due(now), vec![TimerId(2 * i)]);
+        }
+        assert!(timers.generation.is_empty(), "{:?}", timers.generation);
+        // A cancelled timer's stale heap entry never fires.
+        assert!(timers.due(later).is_empty());
     }
 
     /// Records the first payload byte of every delivery, in arrival order.
