@@ -194,6 +194,15 @@ impl<'m> MacSchedule<'m> {
                 schedules: Vec::new(),
             };
         }
+        Self::lane_parallel(message)
+    }
+
+    /// The lane-parallel form of the SIMD backend, whatever the CPU
+    /// reports: every inner-hash schedule pre-expanded for replay.
+    /// [`MacSchedule::new_with_backend`] picks it only on CPUs without the
+    /// SHA extensions; tests call it directly so it stays tested on CPUs
+    /// that have them.
+    pub(crate) fn lane_parallel(message: &'m [u8]) -> Self {
         let len = message.len();
         let full = len - len % BLOCK_LEN;
         // The inner hash has already absorbed the 64-byte ipad block, so its
@@ -208,7 +217,7 @@ impl<'m> MacSchedule<'m> {
         }
         Self {
             message,
-            backend,
+            backend: CompressBackend::Simd,
             schedules,
         }
     }
@@ -536,22 +545,51 @@ mod tests {
         assert!(!key.verify(b"m", &tag[..16]));
     }
 
+    /// `message`'s schedule on every path: the scalar oracle, the SIMD
+    /// backend as this CPU selects it, and the lane-parallel form built
+    /// directly, so the latter stays tested on CPUs with the SHA extensions.
+    fn schedules(message: &[u8]) -> Vec<(&'static str, MacSchedule<'_>)> {
+        vec![
+            (
+                "scalar",
+                MacSchedule::new_with_backend(CompressBackend::Scalar, message),
+            ),
+            (
+                "simd",
+                MacSchedule::new_with_backend(CompressBackend::Simd, message),
+            ),
+            ("lane-parallel", MacSchedule::lane_parallel(message)),
+        ]
+    }
+
+    #[test]
+    fn lane_parallel_schedule_pre_expands_every_inner_block() {
+        for len in [0usize, 55, 56, 64, 200] {
+            let msg = vec![7u8; len];
+            let schedule = MacSchedule::lane_parallel(&msg);
+            // Full message blocks, then one or two padded tail blocks.
+            let blocks = (BLOCK_LEN + len + 9).div_ceil(BLOCK_LEN) - 1;
+            assert_eq!(schedule.schedules.len(), blocks, "len {len}");
+        }
+    }
+
     #[test]
     fn mac_batch_matches_per_key_on_every_backend() {
-        // 11 keys exercises the 8-lane, 4-lane (via the 3 leftovers → no,
-        // 11 = 8 + 3 singles) and scalar-remainder grouping.
-        let keys: Vec<HmacKey> = (0..11u8).map(|i| HmacKey::new(&[i + 1; 20])).collect();
-        let refs: Vec<&HmacKey> = keys.iter().collect();
+        // 11 keys exercises the 8-lane group plus 3 per-key remainders; 12
+        // adds a 4-lane group (8 + 4).
+        let keys: Vec<HmacKey> = (0..12u8).map(|i| HmacKey::new(&[i + 1; 20])).collect();
         for len in [0usize, 3, 55, 56, 63, 64, 65, 127, 128, 129, 1000] {
             let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
-                let schedule = MacSchedule::new_with_backend(backend, &msg);
-                let tags = schedule.mac_batch(&refs);
-                assert_eq!(tags.len(), keys.len());
-                for (key, tag) in keys.iter().zip(&tags) {
-                    assert_eq!(*tag, key.mac(&msg), "len {len}, backend {backend:?}");
+            for (path, schedule) in schedules(&msg) {
+                for batch in [11, 12] {
+                    let refs: Vec<&HmacKey> = keys[..batch].iter().collect();
+                    let tags = schedule.mac_batch(&refs);
+                    assert_eq!(tags.len(), batch);
+                    for (key, tag) in keys.iter().zip(&tags) {
+                        assert_eq!(*tag, key.mac(&msg), "len {len}, {path}, batch {batch}");
+                    }
                 }
-                assert_eq!(schedule.mac(&keys[0]), keys[0].mac(&msg));
+                assert_eq!(schedule.mac(&keys[0]), keys[0].mac(&msg), "{path}");
             }
         }
     }
@@ -565,12 +603,47 @@ mod tests {
             let mut concat = msg.clone();
             concat.extend_from_slice(&suffix);
             let expected = key.mac(&concat);
-            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
-                let schedule = MacSchedule::new_with_backend(backend, &msg);
+            for (path, schedule) in schedules(&msg) {
                 assert_eq!(
                     schedule.mac_with_suffix(&key, &suffix),
                     expected,
-                    "len {len}, backend {backend:?}"
+                    "len {len}, {path}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random (message, key, batch size, suffix) inputs: every path's
+        /// batched and suffixed MACs equal the scalar oracle's per-key MACs
+        /// (the in-crate twin of `tests/backends.rs`'s property, which can
+        /// only reach the path this CPU selects).
+        #[test]
+        fn random_mac_batches_agree_on_every_path(
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+            key_seed in proptest::prelude::any::<u64>(),
+            batch in 1usize..13,
+            suffix in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            let keys: Vec<HmacKey> = (0..batch)
+                .map(|i| {
+                    let secret = key_seed.wrapping_add(i as u64).to_le_bytes();
+                    HmacKey::new_with_backend(CompressBackend::Scalar, &secret)
+                })
+                .collect();
+            let refs: Vec<&HmacKey> = keys.iter().collect();
+            let expected: Vec<Digest> = keys.iter().map(|k| k.mac(&msg)).collect();
+            let mut concat = msg.clone();
+            concat.extend_from_slice(&suffix);
+            let expected_suffixed = keys[0].mac(&concat);
+            for (path, schedule) in schedules(&msg) {
+                proptest::prop_assert_eq!(&schedule.mac_batch(&refs), &expected, "{}", path);
+                proptest::prop_assert_eq!(
+                    schedule.mac_with_suffix(&keys[0], &suffix),
+                    expected_suffixed,
+                    "suffix, {}", path
                 );
             }
         }

@@ -460,6 +460,14 @@ impl Sha256 {
                 .map(|m| Self::digest_with_backend(backend, m))
                 .collect();
         }
+        Self::digest_batch_lane_parallel(messages)
+    }
+
+    /// The SIMD backend's lane-parallel batch, whatever the CPU reports.
+    /// [`Sha256::digest_batch_with_backend`] picks it only on CPUs without
+    /// the SHA extensions; tests call it directly so it stays tested on CPUs
+    /// that have them.
+    pub(crate) fn digest_batch_lane_parallel(messages: &[&[u8]]) -> Vec<Digest> {
         let mut out = vec![Digest([0u8; DIGEST_LEN]); messages.len()];
         // Lane-parallel compression requires every lane to run the same
         // block count, so group the batch by message length.
@@ -860,6 +868,49 @@ mod tests {
                 compress(&mut state, &data);
                 proptest::prop_assert_eq!(state, expected, "{}", name);
             }
+        }
+    }
+
+    #[test]
+    fn lane_parallel_digest_batch_matches_scalar_oracle() {
+        // Mixed lengths run the group-by-length and 8/4/per-message
+        // remainder logic: 13 messages of 300 B give one 8-lane group, one
+        // 4-lane group and one remainder.
+        let mut lens = vec![0usize, 1, 55, 56, 63, 64, 65, 127, 128, 129];
+        lens.extend([300; 13]);
+        let messages: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (0..l).map(|x| (x * 7 + i) as u8).collect())
+            .collect();
+        let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
+        let expected: Vec<Digest> = refs
+            .iter()
+            .map(|m| Sha256::digest_with_backend(CompressBackend::Scalar, m))
+            .collect();
+        assert_eq!(Sha256::digest_batch_lane_parallel(&refs), expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random batches of equal-length messages (so the lanes fill):
+        /// the lane-parallel batch equals the scalar oracle per message.
+        #[test]
+        fn lane_parallel_digest_batch_agrees_with_scalar_oracle(
+            len in 0usize..300,
+            count in 1usize..14,
+            seed in proptest::prelude::any::<u8>(),
+        ) {
+            let messages: Vec<Vec<u8>> = (0..count)
+                .map(|m| (0..len).map(|i| (i as u8).wrapping_mul(seed | 1) ^ m as u8).collect())
+                .collect();
+            let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
+            let expected: Vec<Digest> = refs
+                .iter()
+                .map(|m| Sha256::digest_with_backend(CompressBackend::Scalar, m))
+                .collect();
+            proptest::prop_assert_eq!(Sha256::digest_batch_lane_parallel(&refs), expected);
         }
     }
 

@@ -11,6 +11,11 @@
 //! 2. **Internal differential:** properties asserting the scalar and SIMD
 //!    paths byte-identical on random (message, key, batch size) inputs,
 //!    including the batch and suffixed (co-signature-shaped) APIs.
+//!
+//! The SIMD backend's batch APIs take the lane-parallel path only on CPUs
+//! without the SHA extensions, so these tests reach whichever path this CPU
+//! selects.  The crate's own tests (`sha256.rs`, `hmac.rs`) build the
+//! lane-parallel path directly and run the same checks on it everywhere.
 
 use fs_crypto::hmac::{HmacKey, MacSchedule};
 use fs_crypto::sha256::{CompressBackend, Digest, Sha256};
