@@ -81,9 +81,8 @@ use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
 use fs_crypto::sha256::CompressBackend;
 use fs_crypto::sig::Signature;
-use fs_harness::Protocol;
-use fs_newtop::app::TrafficConfig;
-use fs_newtop_bft::deployment::{Deployment, DeploymentParams};
+use fs_harness::{NewTopService, Protocol, Scenario, Workload};
+use fs_newtop::app::AppProcess;
 use fs_simnet::sched::{EventQueue, ScheduledEvent, SchedulerKind};
 use fs_simnet::{
     Actor, Context, LinkFault, LinkSchedule, LinkScope, ThreadedBuilder, ThreadedConfig,
@@ -490,27 +489,36 @@ fn bench_actor_lookup(iters: u64) -> Vec<ActorLookupRow> {
 }
 
 fn bench_pipeline(members: u32, messages_per_member: u64, batch_max: u32) -> PipelineReport {
-    let mut traffic = TrafficConfig::paper_default().with_messages(messages_per_member);
+    let mut workload = Workload::paper_default().messages(messages_per_member);
     if batch_max > 1 {
         // A generous linger keeps batch close size-driven: every full batch
         // holds exactly `batch_max` requests, only each member's final
         // remainder flushes on the timer.
-        traffic = traffic.with_batching(batch_max, fs_common::time::SimDuration::from_secs(1));
+        workload = workload
+            .batch_max(batch_max)
+            .batch_linger(fs_common::time::SimDuration::from_secs(1));
     }
-    let params = DeploymentParams::paper(members)
-        .with_traffic(traffic)
-        .with_seed(2003);
-    assert_eq!(params.scheduler, SchedulerKind::CalendarQueue);
-    let mut deployment = Deployment::from_running(params.scenario(Protocol::FailSignal).build());
+    // The rows measure the default scheduler.
+    assert_eq!(SchedulerKind::default(), SchedulerKind::CalendarQueue);
+    let mut run = Scenario::new(NewTopService::new())
+        .members(members)
+        .protocol(Protocol::FailSignal)
+        .workload(workload)
+        .seed(2003)
+        .build();
     // Run far past the workload's simulated duration so the pipeline drains.
     let start = Instant::now();
-    deployment.run(SimTime::from_secs(3600));
+    run.run_until(SimTime::from_secs(3600));
     let host_elapsed = start.elapsed();
 
     let total_deliveries: u64 = (0..members)
-        .map(|i| deployment.app(i).delivered_total())
+        .map(|i| {
+            run.app::<AppProcess>(i)
+                .expect("app actor")
+                .delivered_total()
+        })
         .sum();
-    let sim_events = deployment.sim.stats().events_processed;
+    let sim_events = run.stats().events_processed;
     let host_secs = host_elapsed.as_secs_f64().max(f64::EPSILON);
     PipelineReport {
         members,

@@ -9,16 +9,13 @@
 use serde::{Deserialize, Serialize};
 
 use fs_common::config::NodeBudget;
+use fs_common::id::MemberId;
 use fs_common::time::{SimDuration, SimTime};
 use fs_crypto::cost::CryptoCostModel;
-use fs_newtop::app::TrafficConfig;
+use fs_harness::{FaultSchedule, NewTopService, Scenario, Workload};
 use fs_newtop::suspector::SuspectorConfig;
-use fs_newtop_bft::deployment::DeploymentParams;
 
-use fs_common::id::MemberId;
-use fs_harness::FaultSchedule;
-
-use crate::measure::{measure, measure_with_faults, RunMetrics, System};
+use crate::measure::{measure, RunMetrics, System};
 
 /// Common knobs of an experiment sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,18 +45,25 @@ pub fn default_messages() -> u64 {
     crate::env::env_u64("FS_BENCH_MESSAGES", 150)
 }
 
-fn params_for(members: u32, payload: usize, config: &ExperimentConfig) -> DeploymentParams {
-    let traffic = TrafficConfig::paper_default()
-        .with_messages(config.messages_per_member)
-        .with_interval(config.send_interval)
-        .with_payload_size(payload);
+/// The experiments' workload: `config`'s message count and cadence at the
+/// given payload size.
+fn workload_for(payload: usize, config: &ExperimentConfig) -> Workload {
+    Workload::paper_default()
+        .messages(config.messages_per_member)
+        .interval(config.send_interval)
+        .payload_size(payload)
+}
+
+/// The scenario every figure point measures: the paper's set-up with
+/// `members` members, `config`'s workload and seed.
+fn scenario_for(members: u32, payload: usize, config: &ExperimentConfig) -> Scenario {
     // The paper eliminates false suspicions (large timeouts on a lightly
     // loaded LAN); ping traffic itself is negligible but we disable it so
     // message counts reflect the ordering protocol only.
-    DeploymentParams::paper(members)
-        .with_traffic(traffic)
-        .with_seed(config.seed)
-        .with_suspector(SuspectorConfig::disabled())
+    Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+        .members(members)
+        .workload(workload_for(payload, config))
+        .seed(config.seed)
 }
 
 /// One row of a figure table.
@@ -145,19 +149,9 @@ impl Figure {
     }
 }
 
+/// Measures both systems at every `(x, members, payload)` point, each run
+/// under the fault schedule `faults(members)`.
 fn sweep(
-    id: &str,
-    title: &str,
-    x_label: &str,
-    points: impl Iterator<Item = (u64, u32, usize)>,
-    config: &ExperimentConfig,
-) -> Figure {
-    sweep_with_faults(id, title, x_label, points, config, |_| {
-        FaultSchedule::none()
-    })
-}
-
-fn sweep_with_faults(
     id: &str,
     title: &str,
     x_label: &str,
@@ -167,9 +161,9 @@ fn sweep_with_faults(
 ) -> Figure {
     let mut rows = Vec::new();
     for (x, members, payload) in points {
-        let params = params_for(members, payload, config);
         for system in [System::NewTop, System::FsNewTop] {
-            let metrics = measure_with_faults(system, &params, faults(members));
+            let scenario = scenario_for(members, payload, config).faults(faults(members));
+            let metrics = measure(system, scenario);
             eprintln!(
                 "  [{id}] x={x} {}: latency {:.1} ms, throughput {:.1} msg/s, complete={}",
                 system.label(),
@@ -188,6 +182,11 @@ fn sweep_with_faults(
     }
 }
 
+/// The fault schedule of the failure-free figures.
+fn no_faults(_members: u32) -> FaultSchedule {
+    FaultSchedule::none()
+}
+
 /// Figure 6: symmetric total-order latency for 3-byte messages, group sizes
 /// 2–10, NewTOP vs FS-NewTOP.
 pub fn figure6(config: &ExperimentConfig) -> Figure {
@@ -197,6 +196,7 @@ pub fn figure6(config: &ExperimentConfig) -> Figure {
         "members",
         (2..=10u32).map(|n| (u64::from(n), n, 3)),
         config,
+        no_faults,
     )
 }
 
@@ -208,6 +208,7 @@ pub fn figure7(config: &ExperimentConfig) -> Figure {
         "members",
         (2..=15u32).map(|n| (u64::from(n), n, 3)),
         config,
+        no_faults,
     )
 }
 
@@ -242,7 +243,7 @@ fn mild_degradation(members: u32) -> FaultSchedule {
 /// fail-signals and no false suspicions, since the degradation stays well
 /// inside the timing assumptions.
 pub fn figure6_degraded(config: &ExperimentConfig) -> Figure {
-    sweep_with_faults(
+    sweep(
         "figure-6-degraded",
         "Ordering latency vs group size under mild link loss and delay",
         "members",
@@ -255,7 +256,7 @@ pub fn figure6_degraded(config: &ExperimentConfig) -> Figure {
 /// The graceful-degradation variant of Figure 7 (throughput sweep under
 /// `mild_degradation`).
 pub fn figure7_degraded(config: &ExperimentConfig) -> Figure {
-    sweep_with_faults(
+    sweep(
         "figure-7-degraded",
         "Throughput vs group size under mild link loss and delay",
         "members",
@@ -273,6 +274,7 @@ pub fn figure8(config: &ExperimentConfig) -> Figure {
         "kbytes",
         (0..=10u64).map(|k| (k, 10, if k == 0 { 3 } else { (k as usize) * 1000 })),
         config,
+        no_faults,
     )
 }
 
@@ -286,12 +288,14 @@ pub fn ablation_sign_cost(config: &ExperimentConfig, members: u32) -> Vec<(Strin
     ];
     let mut out = Vec::new();
     for (name, model) in models {
-        let params = params_for(members, 3, config).with_crypto_costs(model);
-        let metrics = measure(System::FsNewTop, &params);
+        let metrics = measure(
+            System::FsNewTop,
+            scenario_for(members, 3, config).crypto_costs(model),
+        );
         out.push((name.to_string(), metrics));
     }
     // The crash-tolerant baseline for reference.
-    let baseline = measure(System::NewTop, &params_for(members, 3, config));
+    let baseline = measure(System::NewTop, scenario_for(members, 3, config));
     out.push(("newtop-baseline".to_string(), baseline));
     out
 }
@@ -319,21 +323,9 @@ pub fn ablation_node_budget(max_faults: u32) -> Vec<(u32, u32, u32, u32)> {
 pub fn ablation_false_suspicion(config: &ExperimentConfig) -> (u64, u64) {
     use fs_harness::Protocol;
     use fs_newtop::app::AppProcess;
-    use fs_newtop_bft::deployment::Deployment;
     use fs_simnet::link::LinkModel;
 
     let members = 4u32;
-    // A small ping timeout combined with slow, heavily jittered links makes
-    // timeout-based suspicion fire even though nobody has failed.
-    let base = params_for(members, 3, config);
-    let params = base
-        .clone()
-        .with_traffic(
-            base.traffic
-                .with_messages(config.messages_per_member.min(30)),
-        )
-        .with_suspector(SuspectorConfig::aggressive(SimDuration::from_millis(2)));
-
     // Replace the lightly loaded LAN with a slow, jittery asynchronous
     // network: real delays now exceed the suspector's expectations, which is
     // exactly the condition under which timeout-based suspicions become
@@ -348,37 +340,34 @@ pub fn ablation_false_suspicion(config: &ExperimentConfig) -> (u64, u64) {
         drop_prob: 0.0,
     };
 
-    let count_views = |deployment: &mut Deployment| -> u64 {
-        deployment.run(SimTime::from_secs(600));
-        deployment
-            .members
-            .iter()
-            .map(|h| {
-                deployment
-                    .sim
-                    .actor::<AppProcess>(h.app)
+    let views_seen = |protocol: Protocol| -> u64 {
+        // A small ping timeout combined with the slow, heavily jittered
+        // links makes timeout-based suspicion fire even though nobody has
+        // failed.
+        let service = NewTopService::new()
+            .suspector(SuspectorConfig::aggressive(SimDuration::from_millis(2)));
+        let workload = workload_for(3, config).messages(config.messages_per_member.min(30));
+        let mut run = Scenario::new(service)
+            .members(members)
+            .protocol(protocol)
+            .workload(workload)
+            .seed(config.seed)
+            .link_model(slow_net)
+            .build();
+        run.run_until(SimTime::from_secs(600));
+        (0..members)
+            .map(|i| {
+                run.app::<AppProcess>(i)
                     .map(|a| a.views_seen().len() as u64)
                     .unwrap_or(0)
             })
             .sum()
     };
 
-    let mut newtop = Deployment::from_running(
-        params
-            .scenario(Protocol::Crash)
-            .link_model(slow_net)
-            .build(),
-    );
-    let newtop_views = count_views(&mut newtop);
-
-    let mut fs = Deployment::from_running(
-        params
-            .scenario(Protocol::FailSignal)
-            .link_model(slow_net)
-            .build(),
-    );
-    let fs_views = count_views(&mut fs);
-    (newtop_views, fs_views)
+    (
+        views_seen(Protocol::Crash),
+        views_seen(Protocol::FailSignal),
+    )
 }
 
 #[cfg(test)]
@@ -410,6 +399,7 @@ mod tests {
             "members",
             [(2u64, 2u32, 3usize), (3, 3, 3)].into_iter(),
             &config,
+            no_faults,
         );
         assert_eq!(fig.rows.len(), 4);
         assert_eq!(fig.series(System::NewTop).len(), 2);

@@ -1,12 +1,10 @@
-//! Running a deployment under a workload and extracting the paper's metrics.
+//! Running a scenario under a workload and extracting the paper's metrics.
 
 use serde::{Deserialize, Serialize};
 
 use fs_common::time::{SimDuration, SimTime};
-use fs_harness::{FaultSchedule, Protocol};
+use fs_harness::{Protocol, Scenario};
 use fs_newtop::app::AppProcess;
-use fs_newtop_bft::deployment::{Deployment, DeploymentParams};
-use fs_newtop_bft::interceptor::FsInterceptor;
 
 /// Which of the two systems a measurement refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,43 +71,31 @@ impl RunMetrics {
     }
 }
 
-/// Runs one deployment to completion (or `horizon`) and extracts the metrics.
-pub fn run_deployment(
-    mut deployment: Deployment,
-    params: &DeploymentParams,
-    system: System,
-    horizon: SimTime,
-) -> RunMetrics {
-    deployment.run(horizon);
+/// Runs `scenario` under `system`'s protocol to completion (or a generous
+/// horizon) and extracts the metrics.  Every other axis — faults, layout,
+/// cost models, topology — is taken from the scenario as given.
+pub fn measure(system: System, scenario: Scenario) -> RunMetrics {
+    let n = scenario.member_count();
+    let workload = *scenario.offered_workload();
+    // Allow generous simulated time: the workload itself lasts
+    // messages × interval, plus drain time for queued work.
+    let budget =
+        workload.interval * workload.messages + SimDuration::from_secs(120) + workload.start_delay;
+    let horizon = SimTime::ZERO + budget * 10;
+    let mut run = scenario.protocol(system.protocol()).build();
+    run.run_until(horizon);
 
-    let n = params.members;
-    let messages = params.traffic.messages;
     let mut latencies = fs_simnet::trace::LatencyRecorder::new();
     let mut total_deliveries = 0u64;
     let mut last_delivery = SimTime::ZERO;
-    for handle in &deployment.members {
-        let app = deployment
-            .sim
-            .actor::<AppProcess>(handle.app)
-            .expect("app actor");
+    for i in 0..n {
+        let app = run.app::<AppProcess>(i).expect("app actor");
         latencies.merge(app.latencies());
         total_deliveries += app.delivered_total();
         if let Some(t) = app.last_delivery() {
             last_delivery = last_delivery.max(t);
         }
     }
-
-    let fail_signals_observed = if deployment.fail_signal {
-        deployment.members.iter().any(|handle| {
-            deployment
-                .sim
-                .actor::<FsInterceptor>(handle.middleware)
-                .map(|i| i.local_fail_signalled())
-                .unwrap_or(false)
-        })
-    } else {
-        false
-    };
 
     let summary = latencies.summary();
     let (mean, p95) = summary
@@ -118,8 +104,8 @@ pub fn run_deployment(
 
     // Throughput as in the paper: total ordered messages divided by the time
     // needed to order them (workload start → last delivery).
-    let span = last_delivery.duration_since(SimTime::ZERO + params.traffic.start_delay);
-    let ordered = u64::from(n) * messages;
+    let span = last_delivery.duration_since(SimTime::ZERO + workload.start_delay);
+    let ordered = u64::from(n) * workload.messages;
     let throughput = if span > SimDuration::ZERO {
         ordered as f64 / span.as_secs_f64()
     } else {
@@ -129,63 +115,38 @@ pub fn run_deployment(
     RunMetrics {
         system,
         members: n,
-        payload_size: params.traffic.payload_size,
-        messages_per_member: messages,
+        payload_size: workload.payload_size,
+        messages_per_member: workload.messages,
         mean_latency_ms: mean,
         p95_latency_ms: p95,
         throughput_msgs_per_sec: throughput,
         total_deliveries,
-        expected_deliveries: u64::from(n) * u64::from(n) * messages,
-        middleware_messages: deployment.sim.stats().messages_sent,
+        expected_deliveries: u64::from(n) * u64::from(n) * workload.messages,
+        middleware_messages: run.stats().messages_sent,
         finished_at_ms: last_delivery.as_millis_f64(),
-        fail_signals_observed,
+        fail_signals_observed: run.fail_signalled(),
     }
-}
-
-/// Builds and measures one system at the given parameters.
-pub fn measure(system: System, params: &DeploymentParams) -> RunMetrics {
-    measure_with_faults(system, params, FaultSchedule::none())
-}
-
-/// [`measure`], with a fault schedule applied through the scenario harness —
-/// the graceful-degradation variants of the figures run their sweeps under
-/// mild link loss and delay this way.
-pub fn measure_with_faults(
-    system: System,
-    params: &DeploymentParams,
-    faults: FaultSchedule,
-) -> RunMetrics {
-    // Allow generous simulated time: the workload itself lasts
-    // messages × interval, plus drain time for queued work.
-    let workload = params.traffic.interval * params.traffic.messages
-        + SimDuration::from_secs(120)
-        + params.traffic.start_delay;
-    let horizon = SimTime::ZERO + workload * 10;
-    let deployment =
-        Deployment::from_running(params.scenario(system.protocol()).faults(faults).build());
-    run_deployment(deployment, params, system, horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fs_newtop::app::TrafficConfig;
+    use fs_harness::{NewTopService, Workload};
     use fs_newtop::suspector::SuspectorConfig;
 
-    fn quick_params(members: u32, messages: u64) -> DeploymentParams {
-        DeploymentParams::paper(members)
-            .with_traffic(
-                TrafficConfig::paper_default()
-                    .with_messages(messages)
-                    .with_interval(SimDuration::from_millis(30)),
+    fn quick(members: u32, messages: u64) -> Scenario {
+        Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+            .members(members)
+            .workload(
+                Workload::paper_default()
+                    .messages(messages)
+                    .interval(SimDuration::from_millis(30)),
             )
-            .with_suspector(SuspectorConfig::disabled())
     }
 
     #[test]
     fn newtop_run_is_complete_and_failure_free() {
-        let params = quick_params(3, 5);
-        let m = measure(System::NewTop, &params);
+        let m = measure(System::NewTop, quick(3, 5));
         assert!(
             m.is_complete(),
             "delivered {}/{}",
@@ -199,17 +160,15 @@ mod tests {
 
     #[test]
     fn fs_newtop_run_is_complete_and_failure_free() {
-        let params = quick_params(3, 5);
-        let m = measure(System::FsNewTop, &params);
+        let m = measure(System::FsNewTop, quick(3, 5));
         assert!(m.is_complete());
         assert!(!m.fail_signals_observed);
     }
 
     #[test]
     fn fs_newtop_has_higher_latency_and_more_messages_than_newtop() {
-        let params = quick_params(3, 8);
-        let newtop = measure(System::NewTop, &params);
-        let fs = measure(System::FsNewTop, &params);
+        let newtop = measure(System::NewTop, quick(3, 8));
+        let fs = measure(System::FsNewTop, quick(3, 8));
         assert!(
             fs.mean_latency_ms > newtop.mean_latency_ms,
             "FS-NewTOP latency ({}) must exceed NewTOP ({})",

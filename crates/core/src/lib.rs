@@ -19,7 +19,7 @@
 //! fail-signals *trustworthy* failure notifications, so the FLP impossibility
 //! for unannounced crashes no longer applies and deterministic total ordering
 //! terminates without ◇W-style liveness assumptions — the property FS-NewTOP
-//! (crate `fs-newtop-bft`) builds on.
+//! (NewTOP lifted by this crate's [`group`] builder) builds on.
 //!
 //! ## Crate layout
 //!

@@ -52,6 +52,7 @@
 
 use std::collections::BTreeMap;
 
+use failsignal::group::GroupHost;
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
 use fs_common::id::{MemberId, ProcessId};
@@ -60,7 +61,7 @@ use fs_common::time::{SimDuration, SimTime};
 use fs_common::Bytes;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::lifecycle::LifecycleSchedule;
-use fs_simnet::link::{LinkModel, LinkSchedule, Topology};
+use fs_simnet::link::{LinkSchedule, Topology};
 use fs_simnet::load::{AdmissionGate, ArrivalPacer, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
@@ -68,6 +69,7 @@ use fs_simnet::sim::Simulation;
 use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig};
 use fs_simnet::trace::{LatencyRecorder, LatencySummary, NetStats, TraceLog};
 
+use crate::deployment::prepare_build;
 use crate::faults::FaultSchedule;
 use crate::scenario::{MemberProcs, Protocol, RuntimeKind, RuntimeSlot, Scenario};
 use crate::service::SmrKvService;
@@ -862,16 +864,6 @@ impl Cluster {
         self
     }
 
-    /// Nodes one shard occupies under the current protocol and layout.
-    fn nodes_per_shard(&self) -> u32 {
-        match self.protocol {
-            // Collapsed FS layout: one node per member (the scenario
-            // default; the cluster layer does not expose the Full layout).
-            Protocol::FailSignal => self.members_per_shard,
-            Protocol::Crash => self.members_per_shard,
-        }
-    }
-
     /// The shard-local [`Scenario`] used to assemble shard `shard`.
     fn shard_scenario(&self, shard: u32) -> Scenario {
         // Shard drivers generate no load of their own (messages = 0): every
@@ -903,14 +895,14 @@ impl Cluster {
     /// cluster's, or when a shard's fault schedule targets processes its
     /// protocol does not deploy.
     pub fn build(mut self) -> RunningCluster {
-        if self.workload.arrival_seed == 0 {
-            self.workload.arrival_seed = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        }
-        // Threaded deployments pace against the absolute arrival plan (see
-        // `Workload::drift_free_pacing`); the simulator keeps relative pacing.
-        if self.runtime == RuntimeKind::Threaded {
-            self.workload.drift_free_pacing = true;
-        }
+        let topology = prepare_build(
+            self.runtime,
+            self.protocol,
+            self.seed,
+            &mut self.workload,
+            self.shard_faults.values(),
+            &self.topology,
+        );
         let partitioner = self
             .partitioner
             .clone()
@@ -922,58 +914,20 @@ impl Cluster {
             partitioner.shards(),
             self.shards,
         );
-        for (shard, faults) in &self.shard_faults {
+        for shard in self.shard_faults.keys() {
             assert!(
                 *shard < self.shards,
                 "fault schedule targets shard {shard}, which the cluster does not deploy"
             );
-            for entry in faults.entries() {
-                assert!(
-                    FaultSchedule::target_applies(
-                        entry.target,
-                        self.protocol == Protocol::FailSignal
-                    ),
-                    "shard {shard} fault schedule targets {:?}, which the {:?} protocol does not deploy",
-                    entry.target,
-                    self.protocol,
-                );
-            }
         }
 
-        let topology = self
-            .topology
-            .clone()
-            .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
-        let nodes_per_shard = self.nodes_per_shard();
-        let scenarios: Vec<Scenario> = (0..self.shards).map(|s| self.shard_scenario(s)).collect();
-
-        let mut link_schedule = LinkSchedule::new();
-        let mut lifecycle = LifecycleSchedule::new();
-        let mut shard_members: Vec<Vec<MemberProcs>> = Vec::new();
-
-        let slot = match self.runtime {
+        let (slot, shard_members) = match self.runtime {
             RuntimeKind::Sim => {
                 let mut sim = Simulation::with_scheduler(self.seed, topology, self.scheduler);
-                let router_node = sim.add_node(self.router_node);
-                for (s, scenario) in scenarios.iter().enumerate() {
-                    let node_base = 1 + s as u32 * nodes_per_shard;
-                    debug_assert_eq!(sim.node_count() as u32, node_base);
-                    let members = scenario.assemble_at(&mut sim, pid_base(s as u32));
-                    for event in scenario
-                        .fault_schedule()
-                        .compile_link_schedule_with_base(node_base)
-                        .in_order()
-                    {
-                        link_schedule.push(event);
-                    }
-                    lifecycle.extend(scenario.compile_lifecycle(&members));
-                    shard_members.push(members);
-                }
-                let router = self.make_router(&partitioner, &shard_members);
-                sim.spawn_with(ROUTER_PID, router_node, Box::new(router));
-                sim.apply_link_schedule(&link_schedule);
+                let (shard_members, links, lifecycle) = self.assemble(&mut sim, &partitioner);
+                sim.apply_link_schedule(&links);
                 sim.apply_lifecycle_schedule(lifecycle);
-                RuntimeSlot::from_sim(sim)
+                (RuntimeSlot::from_sim(sim), shard_members)
             }
             RuntimeKind::Threaded => {
                 let mut builder = ThreadedBuilder::new(ThreadedConfig {
@@ -981,26 +935,11 @@ impl Cluster {
                     seed: self.seed,
                 })
                 .with_topology(topology);
-                let router_node = builder.add_node();
-                for (s, scenario) in scenarios.iter().enumerate() {
-                    let node_base = 1 + s as u32 * nodes_per_shard;
-                    let members = scenario.assemble_at(&mut builder, pid_base(s as u32));
-                    for event in scenario
-                        .fault_schedule()
-                        .compile_link_schedule_with_base(node_base)
-                        .in_order()
-                    {
-                        link_schedule.push(event);
-                    }
-                    lifecycle.extend(scenario.compile_lifecycle(&members));
-                    shard_members.push(members);
-                }
-                let router = self.make_router(&partitioner, &shard_members);
-                builder.add_with_on(ROUTER_PID, router_node, Box::new(router));
+                let (shard_members, links, lifecycle) = self.assemble(&mut builder, &partitioner);
                 builder = builder
-                    .with_link_schedule(link_schedule)
+                    .with_link_schedule(links)
                     .with_lifecycle_schedule(lifecycle);
-                RuntimeSlot::from_threaded(builder.start())
+                (RuntimeSlot::from_threaded(builder.start()), shard_members)
             }
         };
 
@@ -1009,9 +948,44 @@ impl Cluster {
             runtime: self.runtime,
             partitioner,
             shard_members,
-            nodes_per_shard,
+            nodes_per_shard: self.members_per_shard,
             slot,
         }
+    }
+
+    /// Deploys the cluster on `host`: the router's node first (node 0), then
+    /// every shard's nodes in shard order, the router actor last.  Returns
+    /// each shard's member handles plus the link and lifecycle schedules
+    /// compiled against the shards' node and process bases.
+    fn assemble<H: GroupHost>(
+        &self,
+        host: &mut H,
+        partitioner: &Partitioner,
+    ) -> (Vec<Vec<MemberProcs>>, LinkSchedule, LifecycleSchedule) {
+        let router_node = host.add_host_node(&self.router_node);
+        let mut links = LinkSchedule::new();
+        let mut lifecycle = LifecycleSchedule::new();
+        let mut shard_members = Vec::new();
+        for shard in 0..self.shards {
+            let scenario = self.shard_scenario(shard);
+            // Every shard occupies one node per member: the crash protocol
+            // and the collapsed FS layout (the scenario default; the cluster
+            // layer does not expose the Full layout) place alike.
+            let node_base = 1 + shard * self.members_per_shard;
+            let members = scenario.assemble_at(host, pid_base(shard));
+            for event in scenario
+                .fault_schedule()
+                .compile_link_schedule_with_base(node_base)
+                .in_order()
+            {
+                links.push(event);
+            }
+            lifecycle.extend(scenario.compile_lifecycle(&members));
+            shard_members.push(members);
+        }
+        let router = self.make_router(partitioner, &shard_members);
+        host.place(ROUTER_PID, router_node, Box::new(router));
+        (shard_members, links, lifecycle)
     }
 
     /// Builds the router over each shard's entry driver.

@@ -41,6 +41,7 @@ use fs_simnet::sim::Simulation;
 use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig, ThreadedRuntime};
 use fs_simnet::trace::{NetStats, TraceLog};
 
+use crate::deployment::prepare_build;
 use crate::faults::{FaultSchedule, MemberFate};
 use crate::service::{PlainHost, ServiceSpec};
 use crate::workload::Workload;
@@ -237,6 +238,16 @@ impl Scenario {
     #[must_use]
     pub fn link_model(self, link: LinkModel) -> Self {
         self.topology(Topology::new(link))
+    }
+
+    /// The group size this scenario deploys.
+    pub fn member_count(&self) -> u32 {
+        self.members
+    }
+
+    /// The per-member workload this scenario offers.
+    pub fn offered_workload(&self) -> &Workload {
+        &self.workload
     }
 
     /// Assembles the scenario on `host` and returns the member handles.
@@ -436,31 +447,14 @@ impl Scenario {
     /// campaign would otherwise run fault-free and pass vacuously — or when
     /// a member-lifecycle entry names a member outside the group.
     pub fn build(mut self) -> Running {
-        // Stamp the arrival-process seed from the scenario seed so open-loop
-        // runs are reproducible per seed without extra configuration (each
-        // member then derives its own independent stream from this value).
-        if self.workload.arrival_seed == 0 {
-            self.workload.arrival_seed = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        }
-        // Threaded deployments pace against the absolute arrival plan so OS
-        // wakeup lateness cannot accumulate into offered-rate drift; the
-        // simulator keeps relative pacing (its handler latency is modeled).
-        if self.runtime == RuntimeKind::Threaded {
-            self.workload.drift_free_pacing = true;
-        }
-        for entry in self.faults.entries() {
-            assert!(
-                FaultSchedule::target_applies(entry.target, self.protocol == Protocol::FailSignal),
-                "fault schedule targets {:?} of member {}, which the {:?} protocol does not deploy",
-                entry.target,
-                entry.member,
-                self.protocol,
-            );
-        }
-        let topology = self
-            .topology
-            .clone()
-            .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
+        let topology = prepare_build(
+            self.runtime,
+            self.protocol,
+            self.seed,
+            &mut self.workload,
+            [&self.faults],
+            &self.topology,
+        );
         let link_schedule = self.faults.compile_link_schedule();
         match self.runtime {
             RuntimeKind::Sim => {
@@ -619,14 +613,6 @@ impl RuntimeSlot {
         self.sim.as_ref()
     }
 
-    pub(crate) fn sim_mut(&mut self) -> Option<&mut Simulation> {
-        self.sim.as_mut()
-    }
-
-    pub(crate) fn into_sim(self) -> Option<Simulation> {
-        self.sim
-    }
-
     /// The service machine of the member described by `procs`, when the
     /// deployment exposes one: the machine hosted by its [`PlainHost`]
     /// under [`Protocol::Crash`], the leader replica of its FS pair under
@@ -776,11 +762,6 @@ impl Running {
         self.slot.sim()
     }
 
-    /// Mutable variant of [`Running::sim`].
-    pub fn sim_mut(&mut self) -> Option<&mut Simulation> {
-        self.slot.sim_mut()
-    }
-
     /// Shuts down the threaded runtime (if any) and collects its actors for
     /// inspection.  Idempotent; a no-op on the simulator.
     pub fn settle(&mut self) {
@@ -880,13 +861,6 @@ impl Running {
             self.interceptor(i)
                 .is_some_and(|x| x.local_fail_signalled())
         })
-    }
-
-    /// Decomposes a simulator-backed run into the raw simulation and member
-    /// handles (used by the legacy deployment forwards).  `None` on the
-    /// threaded runtime.
-    pub fn into_sim(self) -> Option<(Simulation, Vec<MemberProcs>)> {
-        Some((self.slot.into_sim()?, self.members))
     }
 }
 

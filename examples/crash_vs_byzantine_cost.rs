@@ -10,8 +10,7 @@
 use fs_smr_suite::bench::measure::{measure, System};
 use fs_smr_suite::common::time::SimDuration;
 use fs_smr_suite::common::NodeBudget;
-use fs_smr_suite::fsnewtop::deployment::DeploymentParams;
-use fs_smr_suite::newtop::app::TrafficConfig;
+use fs_smr_suite::harness::{NewTopService, Scenario, Workload};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 
 fn main() {
@@ -33,15 +32,18 @@ fn main() {
     }
 
     println!("\ntime cost (one measurement point of Figure 6, group of 5):");
-    let traffic = TrafficConfig::paper_default()
-        .with_messages(40)
-        .with_interval(SimDuration::from_millis(40));
-    let params = DeploymentParams::paper(5)
-        .with_traffic(traffic)
-        .with_suspector(SuspectorConfig::disabled());
+    let scenario = || {
+        Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+            .members(5)
+            .workload(
+                Workload::paper_default()
+                    .messages(40)
+                    .interval(SimDuration::from_millis(40)),
+            )
+    };
 
-    let newtop = measure(System::NewTop, &params);
-    let fs = measure(System::FsNewTop, &params);
+    let newtop = measure(System::NewTop, scenario());
+    let fs = measure(System::FsNewTop, scenario());
 
     for m in [&newtop, &fs] {
         println!(

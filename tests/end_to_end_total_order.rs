@@ -57,6 +57,16 @@ fn fs_newtop_groups_of_various_sizes_agree() {
     for members in [2u32, 4, 6] {
         let mut run = sim_scenario(NewTopService::new(), members, Protocol::FailSignal, 6);
         check_agreement(&mut run, members, 6);
+        // Failure-free runs: no pair fail-signals and no receiver rejects a
+        // double-signed output.
+        assert!(
+            !run.fail_signalled(),
+            "a pair signalled with {members} members"
+        );
+        for i in 0..members {
+            let interceptor = run.interceptor(i).expect("FS member has an interceptor");
+            assert_eq!(interceptor.receiver_stats().rejected, 0, "member {i}");
+        }
     }
 }
 
@@ -91,6 +101,9 @@ fn fs_newtop_asymmetric_and_causal_services_work_end_to_end() {
                 "member {i} must see all {service:?} deliveries"
             );
         }
+        if service == ServiceKind::AsymmetricTotal {
+            check_agreement(&mut run, 3, 4);
+        }
     }
 }
 
@@ -102,10 +115,10 @@ fn full_and_collapsed_layouts_use_the_expected_node_counts() {
             .members(3)
             .protocol(protocol)
             .layout(layout)
-            .workload(quick_workload(1))
+            .workload(quick_workload(3))
             .build()
     };
-    let full = build(Protocol::FailSignal, PairLayout::Full);
+    let mut full = build(Protocol::FailSignal, PairLayout::Full);
     let collapsed = build(Protocol::FailSignal, PairLayout::Collapsed);
     let crash = build(Protocol::Crash, PairLayout::Collapsed);
     // Figure 4: 2 nodes per member (4f + 2 with n = 2f + 1); Figure 5: one
@@ -117,6 +130,10 @@ fn full_and_collapsed_layouts_use_the_expected_node_counts() {
     // wrappers); NewTOP runs two.
     assert_eq!(full.sim().unwrap().actor_count(), 12);
     assert_eq!(crash.sim().unwrap().actor_count(), 6);
+    // The Full layout (followers on dedicated nodes) orders just as the
+    // collapsed one does.
+    full.run_until(SimTime::from_secs(3_000));
+    check_agreement(&mut full, 3, 3);
 }
 
 #[test]
